@@ -31,7 +31,6 @@ from btckit.linalg import (
     pca_first_component,
     solve_spd_regularized,
     top_m_select,
-    top_m_select_excluding,
 )
 from btckit.btc import (
     BtcParams,
@@ -41,6 +40,7 @@ from btckit.btc import (
     btc_beta_sample,
     btc_classify,
     btc_estimate_threshold,
+    btc_residuals,
     corr_classify,
     recover_sparse,
 )
@@ -57,13 +57,14 @@ from btckit.kbtc import (
     kbtc_estimate_params,
     kbtc_gamma_profile,
     kbtc_residual_alt,
+    kbtc_residuals,
     kernel_cache,
     kernel_matrix,
-    kernel_vector,
 )
 from btckit.ensemble import (
     SparseProjection,
     ensemble_classify,
+    ensemble_residuals,
     make_sparse_projection,
     rejection_margin,
     roc_auc,

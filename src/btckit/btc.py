@@ -17,9 +17,12 @@ from btckit.data import Dictionary, NORM_L2
 from btckit.errors import ConfigError
 from btckit.linalg import (
     SELECT_MAGNITUDE,
+    beta_profile,
+    chunks,
+    gram_residuals,
     solve_spd_regularized,
+    top_m_rows,
     top_m_select,
-    top_m_select_excluding,
 )
 
 
@@ -66,6 +69,27 @@ class ResidualVector:
         return int(np.argmin(self.values)) + 1
 
 
+def btc_residuals(dictionary: Dictionary, Y: np.ndarray, params: BtcParams) -> np.ndarray:
+    """Per-class residuals (S x C) of every row of Y: the batch form of :func:`btc_classify`.
+
+    The predicted class of row i is ``argmin(residuals[i]) + 1``. Rows are
+    classified in chunks, so memory stays bounded for any S.
+    """
+    params.validate(dictionary.n_features, dictionary.n_samples)
+    Y = np.asarray(Y, dtype=np.float64)
+    atoms, labels = np.ascontiguousarray(dictionary.columns.T), dictionary.column_labels()
+    gram = dictionary.columns.T @ dictionary.columns
+    out = np.empty((Y.shape[0], dictionary.n_classes))
+    m, n_classes = params.m, dictionary.n_classes
+    for sl in chunks(Y.shape[0], dictionary.n_samples + m * m):
+        Yn, V = _correlations(dictionary, Y[sl], first=sl.start)
+        support = top_m_rows(V, m, mode=params.selection)
+        out[sl], _ = gram_residuals(
+            gram, labels, n_classes, V, np.ones(len(V)), support, params.alpha, sl.start, (atoms, Yn)
+        )
+    return out
+
+
 def btc_classify(
     dictionary: Dictionary,
     y: np.ndarray,
@@ -79,54 +103,42 @@ def btc_classify(
     residual ||y||_2 = 1. An explicit ``support`` overrides the selection
     step (used for cross-pipeline checks).
     """
-    if dictionary.norm_mode != NORM_L2:
-        raise ConfigError("btc_classify requires an L2-normalized dictionary")
     params.validate(dictionary.n_features, dictionary.n_samples)
-    y = np.asarray(y, dtype=np.float64)
-    norm = np.linalg.norm(y)
-    if norm == 0:
-        raise ConfigError("zero test vector")
-    yn = y / norm
-
-    A = dictionary.columns
+    Yn, V = _correlations(dictionary, np.asarray(y, dtype=np.float64)[None, :])
     if support is None:
-        v = A.T @ yn
-        support = top_m_select(v, params.m, mode=params.selection)
+        support = top_m_select(V[0], params.m, mode=params.selection)
     else:
         support = np.asarray(support, dtype=np.int64)
+    # the core on the support alone: its Gram block, labels and correlations
+    D = dictionary.columns[:, support]
+    residuals, coeffs = gram_residuals(
+        D.T @ D, dictionary.column_labels()[support], dictionary.n_classes, V[:, support],
+        np.ones(1), np.arange(support.size)[None, :], params.alpha, features=(D.T, Yn),
+    )
+    code = SparseCode(support=support, coefficients=coeffs[0], ambient_size=dictionary.n_samples)
+    return ResidualVector(values=residuals[0]), code
 
-    D = A[:, support]
-    coeffs = solve_spd_regularized(D.T @ D, D.T @ yn, params.alpha)
-    code = SparseCode(support=support, coefficients=coeffs, ambient_size=dictionary.n_samples)
 
-    residuals = np.empty(dictionary.n_classes)
-    for cid, start, count in dictionary.class_offsets:
-        in_class = (support >= start) & (support < start + count)
-        if not np.any(in_class):
-            residuals[cid - 1] = 1.0
-            continue
-        recon = A[:, support[in_class]] @ coeffs[in_class]
-        residuals[cid - 1] = np.linalg.norm(yn - recon)
-    return ResidualVector(values=residuals), code
+def _correlations(
+    dictionary: Dictionary, Y: np.ndarray, first: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The L2-normalized rows y of Y (S x B) and A'y for each (S x N)."""
+    if dictionary.norm_mode != NORM_L2:
+        raise ConfigError("BTC requires an L2-normalized dictionary")
+    norms = np.linalg.norm(Y, axis=1)
+    zero = np.flatnonzero(norms == 0)
+    if zero.size:
+        raise ConfigError("zero test vector", sample=first + int(zero[0]))
+    Yn = Y / norms[:, None]
+    return Yn, Yn @ dictionary.columns
 
 
 def corr_classify(dictionary: Dictionary, y: np.ndarray, m: int) -> int:
     """Correlation baseline: argmax of class-wise sums of the M largest correlations."""
-    if dictionary.norm_mode != NORM_L2:
-        raise ConfigError("corr_classify requires an L2-normalized dictionary")
-    if not 1 <= m <= dictionary.n_samples:
-        raise ConfigError(f"M={m} out of range")
-    y = np.asarray(y, dtype=np.float64)
-    norm = np.linalg.norm(y)
-    if norm == 0:
-        raise ConfigError("zero test vector")
-    v = dictionary.columns.T @ (y / norm)
+    v = _correlations(dictionary, np.asarray(y, dtype=np.float64)[None, :])[1][0]
     keep = top_m_select(v, m, mode=SELECT_MAGNITUDE)
-    kept = np.zeros_like(v)
-    kept[keep] = v[keep]
-    sums = np.array(
-        [kept[start : start + count].sum() for _, start, count in dictionary.class_offsets]
-    )
+    labels = dictionary.column_labels()[keep] - 1
+    sums = np.bincount(labels, weights=v[keep], minlength=dictionary.n_classes)
     # ties -> lowest class id (argmax returns first maximum)
     return int(np.argmax(sums)) + 1
 
@@ -146,8 +158,8 @@ def btc_beta_sample(
     sl = dictionary.class_slice(class_id)
     if not 0 <= sample_idx < sl.stop - sl.start:
         raise ConfigError(f"sample_idx {sample_idx} out of class {class_id} range")
-    gram = dictionary.columns.T @ dictionary.columns
-    return _beta_from_gram(dictionary, gram, sl.start + sample_idx, params.m, params.alpha, params.selection)
+    col = [sl.start + sample_idx]
+    return float(beta_profile(dictionary, [params.m], params.alpha, params.selection, cols=col)[0, 0])
 
 
 def btc_beta_average(dictionary: Dictionary, m: int, alpha: float) -> float:
@@ -158,11 +170,7 @@ def btc_beta_average(dictionary: Dictionary, m: int, alpha: float) -> float:
         raise ConfigError("beta requires M >= 2")
     if dictionary.n_classes < 2:
         raise ConfigError("beta needs at least 2 classes")
-    gram = dictionary.columns.T @ dictionary.columns
-    total = 0.0
-    for g in range(dictionary.n_samples):
-        total += _beta_from_gram(dictionary, gram, g, m, alpha, params.selection)
-    return total / dictionary.n_samples
+    return float(beta_profile(dictionary, [m], alpha, params.selection).mean())
 
 
 def btc_estimate_threshold(
@@ -186,71 +194,10 @@ def btc_estimate_threshold(
     if dictionary.n_classes < 2:
         raise ConfigError("threshold estimation needs at least 2 classes")
 
-    gram = dictionary.columns.T @ dictionary.columns
-    n = dictionary.n_samples
-    labels = dictionary.column_labels()
-    # one descending sort per column, shared by every M
-    orders = np.argsort(-np.abs(gram), axis=0, kind="stable")
-
-    profile = []
-    for m in ms:
-        total = 0.0
-        for g in range(n):
-            order = orders[:, g]
-            sel = order[order != g][: m - 1]
-            total += _beta_on_support(dictionary, gram, g, int(labels[g]), sel, alpha)
-        profile.append((m, total / n))
+    averages = beta_profile(dictionary, ms, alpha, SELECT_MAGNITUDE).mean(axis=1)
+    profile = [(m, float(beta)) for m, beta in zip(ms, averages)]
     best_m = min(profile, key=lambda t: (t[1], t[0]))[0]
     return best_m, profile
-
-
-def _beta_from_gram(
-    dictionary: Dictionary,
-    gram: np.ndarray,
-    col: int,
-    m: int,
-    alpha: float,
-    selection: str = SELECT_MAGNITUDE,
-) -> float:
-    v = gram[:, col]
-    sel = top_m_select_excluding(v, m, col, mode=selection)
-    labels = dictionary.column_labels()
-    return _beta_on_support(dictionary, gram, col, int(labels[col]), sel, alpha)
-
-
-def _beta_on_support(
-    dictionary: Dictionary,
-    gram: np.ndarray,
-    col: int,
-    own_class: int,
-    sel: np.ndarray,
-    alpha: float,
-) -> float:
-    """Ratio of own-class to best rival residual, all in Gram arithmetic."""
-    if dictionary.n_classes < 2:
-        raise ConfigError("beta needs a competing class")
-    if sel.size:
-        coeffs = solve_spd_regularized(gram[np.ix_(sel, sel)], gram[sel, col], alpha)
-    else:
-        coeffs = np.empty(0)
-    own_sq = float(gram[col, col])
-
-    residuals = np.empty(dictionary.n_classes)
-    for cid, start, count in dictionary.class_offsets:
-        in_class = (sel >= start) & (sel < start + count)
-        if not np.any(in_class):
-            residuals[cid - 1] = np.sqrt(own_sq)
-            continue
-        s = sel[in_class]
-        x = coeffs[in_class]
-        sq = own_sq - 2.0 * float(x @ gram[s, col]) + float(x @ gram[np.ix_(s, s)] @ x)
-        residuals[cid - 1] = np.sqrt(max(sq, 0.0))
-
-    rivals = np.delete(residuals, own_class - 1)
-    denom = rivals.min()
-    if denom == 0:
-        return np.inf
-    return float(residuals[own_class - 1] / denom)
 
 
 def recover_sparse(A: np.ndarray, y: np.ndarray, m: int, alpha: float) -> np.ndarray:

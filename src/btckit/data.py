@@ -284,7 +284,11 @@ def _parse_header(path: str) -> dict[str, str]:
 def load_label_map(path: str) -> LabelMap:
     """Load a label map stored as a CSV grid of integers."""
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [[int(c) for c in ln.strip().split(",")] for ln in fh if ln.strip()]
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        rows = [[int(c) for c in ln.split(",")] for ln in lines]
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: non-integer label") from exc
     if not rows:
         raise DataFormatError(f"{path}: empty label map")
     width = len(rows[0])

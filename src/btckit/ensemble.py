@@ -2,7 +2,8 @@
 
 Each ensemble member projects the raw samples through an independent
 three-point random matrix, rebuilds a unit-norm dictionary, and classifies;
-the per-class residuals are fused by their sample mean. The rejection
+the per-class residuals are fused by their sample mean. The projections
+and dictionaries are built once per batch of test samples. The rejection
 margin compares the two smallest fused residuals.
 """
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from btckit.btc import BtcParams, ResidualVector, btc_classify
+from btckit.btc import BtcParams, ResidualVector, btc_residuals
 from btckit.data import NORM_L2, build_dictionary
 from btckit.errors import ConfigError
 
@@ -51,6 +52,37 @@ def make_sparse_projection(b: int, m: int, s: int, seed: int) -> SparseProjectio
     return SparseProjection(matrix=entries / np.sqrt(m), sparsity=s, seed=seed)
 
 
+def ensemble_residuals(
+    raw_samples: np.ndarray,
+    labels: np.ndarray,
+    Y_raw: np.ndarray,
+    n_classifiers: int,
+    params: BtcParams,
+    b: int,
+    s: int,
+    seed: int,
+) -> np.ndarray:
+    """BTC-n: mean-fused residuals (S x C) over n independently projected classifiers.
+
+    ``raw_samples`` holds the unprojected training samples as rows; each
+    member i uses the projection seeded with seed + i and a freshly
+    unit-normalized projected dictionary, both built once for all rows of Y_raw.
+    """
+    if n_classifiers < 1:
+        raise ConfigError("need at least one classifier")
+    raw_samples = np.asarray(raw_samples, dtype=np.float64)
+    Y_raw = np.asarray(Y_raw, dtype=np.float64)
+    m_dim = raw_samples.shape[1]
+
+    fused = None
+    for i in range(1, n_classifiers + 1):
+        proj = make_sparse_projection(b, m_dim, s, seed + i)
+        dictionary = build_dictionary(raw_samples @ proj.matrix.T, labels, norm_mode=NORM_L2)
+        residuals = btc_residuals(dictionary, (proj.matrix @ Y_raw.T).T, params)
+        fused = residuals if fused is None else fused + residuals
+    return fused / n_classifiers
+
+
 def ensemble_classify(
     raw_samples: np.ndarray,
     labels: np.ndarray,
@@ -61,28 +93,10 @@ def ensemble_classify(
     s: int,
     seed: int,
 ) -> tuple[int, ResidualVector]:
-    """BTC-n: mean-fused residuals over n independently projected classifiers.
-
-    ``raw_samples`` holds the unprojected training samples as rows; each
-    member i uses the projection seeded with seed + i and a freshly
-    unit-normalized projected dictionary.
-    """
-    if n_classifiers < 1:
-        raise ConfigError("need at least one classifier")
-    raw_samples = np.asarray(raw_samples, dtype=np.float64)
-    y_raw = np.asarray(y_raw, dtype=np.float64)
-    m_dim = raw_samples.shape[1]
-
-    fused = None
-    for i in range(1, n_classifiers + 1):
-        proj = make_sparse_projection(b, m_dim, s, seed + i)
-        projected = raw_samples @ proj.matrix.T
-        dictionary = build_dictionary(projected, labels, norm_mode=NORM_L2)
-        y_proj = proj.matrix @ y_raw
-        residual, _ = btc_classify(dictionary, y_proj, params)
-        fused = residual.values if fused is None else fused + residual.values
-    fused = fused / n_classifiers
-    result = ResidualVector(values=fused)
+    """One sample through :func:`ensemble_residuals`; returns (class id, fused residuals)."""
+    y_raw = np.asarray(y_raw, dtype=np.float64)[None, :]
+    fused = ensemble_residuals(raw_samples, labels, y_raw, n_classifiers, params, b, s, seed)
+    result = ResidualVector(values=fused[0])
     return result.predicted_class, result
 
 

@@ -2,7 +2,19 @@
 
 
 class BtckitError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    ``sample`` is the batch index of the sample the error is about, when
+    there is one; it prefixes the message.
+    """
+
+    def __init__(self, message: str = "", sample: int | None = None) -> None:
+        super().__init__(message)
+        self.sample = sample
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return text if self.sample is None else f"sample {self.sample}: {text}"
 
 
 class DataFormatError(BtckitError):

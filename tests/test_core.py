@@ -1,0 +1,310 @@
+"""The batched Gram-space core: selection, solves, class residuals, beta profiles."""
+
+from contextlib import nullcontext
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import default_rng
+
+from btckit import (
+    BtcParams,
+    Dictionary,
+    HsiCube,
+    KbtcParams,
+    KernelCache,
+    KernelSpec,
+    btc_beta_sample,
+    btc_classify,
+    btc_estimate_threshold,
+    btc_residuals,
+    build_dictionary,
+    build_residual_cube,
+    ensemble_classify,
+    ensemble_residuals,
+    kbtc_beta_sample,
+    kbtc_classify,
+    kbtc_estimate_params,
+    kbtc_residuals,
+    kernel_cache,
+    top_m_select,
+)
+from btckit import linalg
+from btckit.linalg import gram_residuals, top_m_rows
+from btckit.data import NORM_L2, NORM_RANGE
+from btckit.errors import NumericalError
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+# (seed, features, samples per class, classes, M)
+problems = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(4, 16),
+    st.integers(2, 8),
+    st.integers(2, 4),
+    st.integers(1, 15),
+)
+
+
+def _problem(seed, b, per_class, c, m, norm_mode=NORM_L2):
+    rng = default_rng(seed)
+    samples = rng.normal(size=(per_class * c, b))
+    labels = np.repeat(np.arange(1, c + 1), per_class)
+    d = build_dictionary(samples, labels, norm_mode)
+    return rng, d, min(m, b - 1, d.n_samples)
+
+
+def _stable_top(scores, m):
+    return sorted(range(scores.size), key=lambda i: (-scores[i], i))[:m]
+
+
+def _tiny_chunks():
+    """Chunks of one or two samples, so batches cross many chunk boundaries."""
+    return patch.object(linalg, "CHUNK_BYTES", 1)
+
+
+class TestBatchEqualsSingle:
+    @SETTINGS
+    @given(problems, st.integers(1, 9))
+    def test_btc(self, problem, s):
+        rng, d, m = _problem(*problem)
+        Y = rng.normal(size=(s, d.n_features))
+        params = BtcParams(m=m, alpha=0.01)
+        single = np.array([btc_classify(d, y, params)[0].values for y in Y])
+        for chunking in (nullcontext(), _tiny_chunks()):
+            with chunking:
+                batch = btc_residuals(d, Y, params)
+            np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
+
+    @SETTINGS
+    @given(problems, st.integers(1, 9), st.floats(0.05, 4.0))
+    def test_kbtc(self, problem, s, gamma):
+        rng, d, m = _problem(*problem, norm_mode=NORM_RANGE)
+        Y = rng.uniform(-0.2, 1.2, size=(s, d.n_features))
+        spec = KernelSpec(kind="rbf", gamma=gamma)
+        params = KbtcParams(m=m, alpha=1e-4, spec=spec)
+        cache = kernel_cache(d, spec)
+        # the batch form takes raw rows; the S=1 wrapper takes them scaled
+        single = np.array([kbtc_classify(d, y, params, cache)[0].values for y in d.scaling.apply(Y)])
+        for chunking in (nullcontext(), _tiny_chunks()):
+            with chunking:
+                batch = kbtc_residuals(d, Y, params, cache)
+            np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
+
+    @SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+    def test_ensemble(self, seed, n):
+        rng = default_rng(seed)
+        x = rng.normal(size=(12, 20))
+        labels = np.repeat([1, 2, 3], 4)
+        Y = rng.normal(size=(5, 20))
+        params = BtcParams(m=4, alpha=0.01)
+        batch = ensemble_residuals(x, labels, Y, n, params, 8, 3, seed % 1000)
+        single = np.array(
+            [ensemble_classify(x, labels, y, n, params, 8, 3, seed % 1000)[1].values for y in Y]
+        )
+        np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
+
+    @SETTINGS
+    @given(problems)
+    def test_btc_beta_profile(self, problem):
+        _, d, _ = _problem(*problem)
+        with _tiny_chunks():
+            _, profile = btc_estimate_threshold(d, 0.01)
+        labels = d.column_labels()
+        for m, beta in profile[: d.n_samples - 1]:
+            params = BtcParams(m=m, alpha=0.01)
+            single = [
+                btc_beta_sample(d, int(labels[g]), g - d.class_slice(int(labels[g])).start, params)
+                for g in range(d.n_samples)
+            ]
+            assert beta == pytest.approx(np.mean(single), rel=0, abs=1e-12)
+
+    def test_kbtc_cube_scales_raw_pixels(self):
+        rng, d, m = _problem(5, 6, 5, 3, 4, norm_mode=NORM_RANGE)
+        cube = HsiCube(height=3, width=4, bands=6, values=rng.normal(size=(3, 4, 6)))
+        spec = KernelSpec(kind="rbf", gamma=0.7)
+        params = KbtcParams(m=m, alpha=1e-4, spec=spec)
+        cache = kernel_cache(d, spec)
+        with _tiny_chunks():
+            _, classmap = build_residual_cube(cube, d, params, cache=cache)
+        pixels = d.scaling.apply(cube.values.reshape(12, 6))
+        single = [kbtc_classify(d, y, params, cache)[0].predicted_class for y in pixels]
+        np.testing.assert_array_equal(classmap.labels.ravel(), single)
+
+    def test_kbtc_beta_profile(self):
+        _, d, _ = _problem(7, 5, 6, 2, 3, norm_mode=NORM_RANGE)
+        gamma_hat, _, _, m_profile = kbtc_estimate_params(d, 1e-6, gamma_grid=[0.5, 2.0])
+        spec = KernelSpec(kind="rbf", gamma=gamma_hat)
+        cache = kernel_cache(d, spec)
+        labels = d.column_labels()
+        for m, beta in m_profile:
+            params = KbtcParams(m=m, alpha=1e-6, spec=spec)
+            single = [
+                kbtc_beta_sample(d, int(labels[g]), g - d.class_slice(int(labels[g])).start, params, cache)
+                for g in range(d.n_samples)
+            ]
+            assert beta == pytest.approx(np.mean(single), rel=0, abs=1e-12)
+
+
+class TestTies:
+    @SETTINGS
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(2, 30),
+        st.sampled_from([linalg.SELECT_MAGNITUDE, linalg.SELECT_RAW]),
+        st.data(),
+    )
+    def test_boundary_ties_keep_ascending_index(self, seed, s, n, mode, data):
+        rng = default_rng(seed)
+        # duplicated columns of a few integer levels: ties everywhere, at the
+        # M-th score too
+        base = rng.integers(-3, 4, size=(s, max(1, n // 3))).astype(float)
+        V = base[:, rng.integers(0, base.shape[1], size=n)]
+        m = data.draw(st.integers(1, n))
+        got = top_m_rows(V, m, mode)
+        for row, v in zip(got, V):
+            scores = np.abs(v) if mode == linalg.SELECT_MAGNITUDE else v
+            assert row.tolist() == _stable_top(scores, m)
+            assert row.tolist() == top_m_select(v, m, mode).tolist()
+
+    @SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 30), st.data())
+    def test_exclusion_drops_only_that_column(self, seed, n, data):
+        V = default_rng(seed).integers(-2, 3, size=(4, n)).astype(float)
+        exclude = np.array([data.draw(st.integers(0, n - 1)) for _ in range(4)])
+        m = data.draw(st.integers(1, n - 1))
+        got = top_m_rows(V, m, linalg.SELECT_MAGNITUDE, exclude=exclude)
+        for row, v, e in zip(got, V, exclude):
+            ranked = [i for i in _stable_top(np.abs(v), n) if i != e]
+            assert row.tolist() == ranked[:m]
+
+    @SETTINGS
+    @given(problems, st.integers(1, 5))
+    def test_residual_ties_go_to_lowest_class(self, problem, s):
+        rng, d, m = _problem(*problem)
+        # atoms span only the first B-1 features; a sample along the last one
+        # gets code 0 and the residual 1 in every class
+        cols = d.columns.copy()
+        cols[-1] = 0.0
+        cols /= np.linalg.norm(cols, axis=0)
+        flat = Dictionary(cols, d.class_offsets, NORM_L2)
+        Y = np.zeros((s, d.n_features))
+        Y[:, -1] = rng.uniform(0.5, 2.0, s)
+        residuals = btc_residuals(flat, Y, BtcParams(m=m, alpha=0.01))
+        np.testing.assert_array_equal(residuals, 1.0)
+        assert np.all(np.argmin(residuals, axis=1) == 0)
+        assert btc_classify(flat, Y[0], BtcParams(m=m, alpha=0.01))[0].predicted_class == 1
+
+
+class TestPermutationInvariance:
+    @SETTINGS
+    @given(problems, st.integers(1, 5))
+    def test_columns_permuted_within_class(self, problem, s):
+        seed, b, per_class, c, m = problem
+        rng = default_rng(seed)
+        samples = rng.normal(size=(per_class * c, b))
+        labels = np.repeat(np.arange(1, c + 1), per_class)
+        m = min(m, b - 1, samples.shape[0])
+        perm = np.concatenate([rng.permutation(per_class) + k * per_class for k in range(c)])
+        Y = rng.normal(size=(s, b))
+        params = BtcParams(m=m, alpha=0.01)
+        a = btc_residuals(build_dictionary(samples, labels), Y, params)
+        p = btc_residuals(build_dictionary(samples[perm], labels[perm]), Y, params)
+        np.testing.assert_allclose(a, p, rtol=0, atol=1e-10)
+
+
+def _forged_cache(d, spec, atom):
+    """The true Gram matrix with atom's self-kernel made negative: any support holding it is not PD."""
+    gram = kernel_cache(d, spec).gram.copy()
+    gram[atom, atom] = -1.0
+    return KernelCache(gram=gram, spec=spec)
+
+
+class TestNumericalPolicy:
+    def test_non_pd_system_names_the_sample(self):
+        rng = default_rng(3)
+        train = rng.normal(size=(10, 4))
+        d = build_dictionary(train, [1] * 5 + [2] * 5, NORM_RANGE)
+        spec = KernelSpec(kind="rbf", gamma=1.0)
+        params = KbtcParams(m=1, alpha=1e-6, spec=spec)
+        # with M = 1 each sample selects the atom it equals
+        Y = train[[0, 1, 2, 3, 7, 5]]
+        with _tiny_chunks(), pytest.raises(NumericalError, match="sample 4"):
+            kbtc_residuals(d, Y, params, _forged_cache(d, spec, 7))
+
+    def test_non_pd_pixel_names_row_and_column(self):
+        rng = default_rng(4)
+        train = rng.normal(size=(6, 5))
+        d = build_dictionary(train, [1, 1, 1, 2, 2, 2], NORM_RANGE)
+        spec = KernelSpec(kind="rbf", gamma=1.0)
+        params = KbtcParams(m=1, alpha=1e-6, spec=spec)
+        values = train[[0, 1, 2, 3, 5, 4]].reshape(2, 3, 5)  # atom 4 sits at pixel (1,2)
+        cube = HsiCube(height=2, width=3, bands=5, values=values)
+        with pytest.raises(NumericalError, match=r"pixel \(1,2\)"):
+            build_residual_cube(cube, d, params, cache=_forged_cache(d, spec, 4))
+
+    def test_linear_kernel_on_large_raw_values_does_not_raise(self):
+        # a sample equal to an atom leaves a radicand of order 0 next to terms
+        # of order 1e9: the floor scales with K(y,y)
+        spec = KernelSpec(kind="linear")
+        for seed in range(5):
+            cols = 1e4 * default_rng(seed).uniform(0, 1, (8, 12))
+            d = Dictionary(cols, ((1, 0, 6), (2, 6, 6)), NORM_RANGE)
+            cache = kernel_cache(d, spec)
+            params = KbtcParams(m=3, alpha=1e-9, spec=spec)
+            residuals = kbtc_residuals(d, cols.T, params, cache)
+            assert np.all(residuals >= 0)
+
+    def test_near_duplicate_atoms_at_tiny_alpha(self):
+        # pairs of atoms 1.4e-5 apart, alpha 1e-10 and samples in their span:
+        # codes reach about 1/(2 sqrt(alpha)), where the Gram form cancels
+        rng = default_rng(1)
+        b, alpha = 40, 1e-10
+        atoms, pairs = [], []
+        for _ in range(10):
+            a = rng.normal(size=b)
+            a /= np.linalg.norm(a)
+            u = rng.normal(size=b)
+            u -= (u @ a) * a
+            u /= np.linalg.norm(u)
+            atoms += [a, a + 1.4e-5 * u]
+            pairs.append((a, u))
+        d = build_dictionary(np.array(atoms), np.repeat([1, 2], 10), NORM_L2)
+        A, labels = d.columns, d.column_labels()
+        Y = np.array([sum(rng.normal() * a + rng.normal() * u for a, u in pairs[k:k + 5]) for k in (0, 5) * 10])
+        Y /= np.linalg.norm(Y, axis=1)[:, None]
+        residuals = btc_residuals(d, Y, BtcParams(m=10, alpha=alpha))
+        gram = A.T @ A
+        for y, got in zip(Y, residuals):
+            support = top_m_rows((y @ A)[None, :], 10)[0]
+            x = linalg.solve_spd_regularized(gram[np.ix_(support, support)], y @ A[:, support], alpha)
+            assert np.abs(x).max() > 1e3
+            for j in (1, 2):
+                own = labels[support] == j
+                direct = np.linalg.norm(y - A[:, support[own]] @ x[own]) if own.any() else 1.0
+                assert got[j - 1] == pytest.approx(direct, rel=0, abs=1e-8)
+        # the Gram form (linear KBTC on the same rows) stays within its rounding
+        spec = KernelSpec(kind="linear")
+        kernel = kbtc_residuals(d, Y, KbtcParams(m=10, alpha=alpha, spec=spec), kernel_cache(d, spec))
+        np.testing.assert_allclose(kernel, residuals, rtol=0, atol=1e-5)
+
+    def test_forged_negative_radicand_raises(self):
+        # |v| > sqrt(K(a,a) K(y,y)) breaks Cauchy-Schwarz: the radicand is about -99
+        with pytest.raises(NumericalError, match="sample 0: negative residual radicand"):
+            gram_residuals(
+                np.array([[1.0]]), np.array([1]), 2, np.array([[10.0]]), np.array([1.0]),
+                np.array([[0]]), 0.01,
+            )
+
+    def test_radicand_floor_is_relative_to_self_kernel(self):
+        def residuals(kyy):
+            empty = np.empty((1, 0), dtype=np.int64)
+            return gram_residuals(np.eye(2), np.array([1, 2]), 2, np.zeros((1, 2)), np.array([kyy]), empty, 0.01)[0]
+
+        np.testing.assert_array_equal(residuals(-0.5e-10), 0.0)  # rounding: clamped
+        with pytest.raises(NumericalError, match="negative residual radicand"):
+            residuals(-2e-10)

@@ -188,6 +188,11 @@ class TestLabelMapIO:
         back = load_label_map(str(tmp_path / "m.csv"))
         np.testing.assert_array_equal(back.labels, lm.labels)
 
+    def test_non_integer_cell(self, tmp_path):
+        (tmp_path / "m.csv").write_text("0,1\n2,1.5\n")
+        with pytest.raises(DataFormatError, match="non-integer"):
+            load_label_map(str(tmp_path / "m.csv"))
+
     def test_pgm_with_mapping(self, tmp_path):
         lm = LabelMap(height=1, width=2, labels=np.array([[1, 2]]))
         save_label_map_pgm(lm, str(tmp_path / "m.pgm"), str(tmp_path / "m.classes.txt"))

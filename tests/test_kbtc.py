@@ -19,7 +19,6 @@ from btckit import (
     kbtc_residual_alt,
     kernel_cache,
     kernel_matrix,
-    kernel_vector,
 )
 from btckit.data import NORM_L2, NORM_RANGE
 from btckit.errors import ConfigError
@@ -69,7 +68,7 @@ class TestKernelEvaluation:
         d = random_dictionary(default_rng(20), b=8, n=16)
         y = rng.normal(size=8)
         yn = y / np.linalg.norm(y)
-        v = kernel_vector(d, yn, KernelSpec(kind="linear"))
+        v = kernel_matrix(d.columns, yn[:, None], KernelSpec(kind="linear"))[:, 0]
         np.testing.assert_allclose(v, d.columns.T @ yn, atol=1e-12)
 
     def test_rbf_bounds_and_symmetry(self, rng):

@@ -11,9 +11,9 @@ from btckit import (
     pca_first_component,
     solve_spd_regularized,
     top_m_select,
-    top_m_select_excluding,
 )
 from btckit.errors import ConfigError
+from btckit.linalg import top_m_rows
 
 
 class TestSolveSpdRegularized:
@@ -100,24 +100,27 @@ class TestTopMSelect:
 
 
 class TestTopMSelectExcluding:
+    """top_m_rows with ``exclude``: the selection a beta profile codes each column on."""
+
     def test_excluded_is_maximum(self):
-        sel = top_m_select_excluding(np.array([1.0, 0.9, 0.8]), 3, 0)
-        np.testing.assert_array_equal(sel, [1, 2])
+        sel = top_m_rows(np.array([[1.0, 0.9, 0.8]]), 2, exclude=np.array([0]))
+        np.testing.assert_array_equal(sel, [[1, 2]])
 
     def test_excluded_not_maximum(self):
-        sel = top_m_select_excluding(np.array([0.9, 1.0]), 2, 0)
-        np.testing.assert_array_equal(sel, [1])
+        sel = top_m_rows(np.array([[0.9, 1.0]]), 1, exclude=np.array([0]))
+        np.testing.assert_array_equal(sel, [[1]])
 
     def test_matches_drop_oracle(self, rng):
-        v = rng.normal(size=60)
-        excluded = 17
-        sel = top_m_select_excluding(v, 10, excluded)
-        oracle = [i for i in sorted(range(60), key=lambda i: (-abs(v[i]), i)) if i != excluded]
-        np.testing.assert_array_equal(sel, oracle[:9])
+        V = rng.normal(size=(3, 60))
+        excluded = np.array([17, 0, 59])
+        sel = top_m_rows(V, 9, exclude=excluded)
+        for v, e, row in zip(V, excluded, sel):
+            oracle = [i for i in sorted(range(60), key=lambda i: (-abs(v[i]), i)) if i != e]
+            np.testing.assert_array_equal(row, oracle[:9])
 
     def test_excluded_out_of_range(self):
         with pytest.raises(ConfigError):
-            top_m_select_excluding(np.ones(3), 2, 5)
+            top_m_rows(np.ones((1, 3)), 1, exclude=np.array([5]))
 
 
 class TestPcaFirstComponent:
