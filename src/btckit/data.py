@@ -96,10 +96,6 @@ class HsiCube:
     width: int
     bands: int
     values: np.ndarray  # (height, width, bands) float64
-    scale_mode: str = "none"
-
-    def pixel(self, row: int, col: int) -> np.ndarray:
-        return self.values[row, col]
 
 
 @dataclass(frozen=True)
@@ -118,28 +114,23 @@ def load_dense_dataset(features_path: str, labels_path: str) -> tuple[np.ndarray
     line is non-numeric. Returns (samples, labels) with samples shaped
     (n_samples, n_features).
     """
-    rows: list[list[float]] = []
     with open(features_path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if lines and _is_header(lines[0]):
         lines = lines[1:]
-    width = None
-    for lineno, line in enumerate(lines, start=1):
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise DataFormatError(
-                f"{features_path}: ragged row at line {lineno} "
-                f"({len(cells)} cells, expected {width})"
-            )
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise DataFormatError(f"{features_path}: non-numeric cell at line {lineno}") from exc
-    samples = np.asarray(rows, dtype=np.float64)
-    if samples.ndim != 2 or samples.size == 0:
+    if not lines:
         raise DataFormatError(f"{features_path}: no samples")
+    width = lines[0].count(",") + 1
+    for lineno, line in enumerate(lines, start=1):
+        n_cells = line.count(",") + 1
+        if n_cells != width:
+            raise DataFormatError(
+                f"{features_path}: ragged row at line {lineno} ({n_cells} cells, expected {width})"
+            )
+    try:
+        samples = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError as exc:
+        raise DataFormatError(f"{features_path}: non-numeric cell: {exc}") from exc
 
     labels = []
     with open(labels_path, "r", encoding="utf-8") as fh:

@@ -26,14 +26,6 @@ class SparseProjection:
     sparsity: int
     seed: int
 
-    @property
-    def out_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.matrix.shape[1]
-
 
 def make_sparse_projection(b: int, m: int, s: int, seed: int) -> SparseProjection:
     """Draw a very sparse random projection, reproducible from the seed.

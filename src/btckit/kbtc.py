@@ -207,7 +207,6 @@ def kbtc_gamma_profile(
     alpha: float,
     gamma_grid: list[float] | np.ndarray | None = None,
     subsample_m: int = 1,
-    kind: str = KERNEL_RBF,
 ) -> list[tuple[float, float]]:
     """Average identification ratio over all (M, sample) pairs per gamma.
 
@@ -228,7 +227,7 @@ def kbtc_gamma_profile(
     ms = list(range(1, dictionary.n_features, subsample_m))
     profile = []
     for gamma in gammas:
-        cache = kernel_cache(dictionary, KernelSpec(kind=kind, gamma=gamma))
+        cache = kernel_cache(dictionary, KernelSpec(kind=KERNEL_RBF, gamma=gamma))
         betas = beta_profile(dictionary, ms, alpha, cache.spec.selection_mode, cache.gram)
         profile.append((gamma, float(betas.mean())))
     return profile

@@ -3,8 +3,8 @@
 The batch-first Gram-space core every classifier runs on (top-M selection
 with ascending-index ties, stacked regularized SPD solves, per-class
 residuals in Gram arithmetic or from explicit features, identification
-ratios), a power-iteration first principal component for guidance images,
-and mutual coherence.
+ratios), the first principal component for guidance images, and mutual
+coherence.
 """
 
 from __future__ import annotations
@@ -242,51 +242,25 @@ def beta_profile(
     return out
 
 
-def pca_first_component(
-    cube: HsiCube, tol: float = 1e-8, max_iter: int = 1000
-) -> np.ndarray:
+def pca_first_component(cube: HsiCube) -> np.ndarray:
     """First principal component image of a cube, min-max normalized to [0, 1].
 
-    The dominant eigenvector of the band covariance is found by power
-    iteration; the sign is fixed so the component correlates non-negatively
-    with the band-mean image.
+    The component is the top eigenvector of the band covariance
+    (``np.linalg.eigh``); its sign is fixed so the component correlates
+    non-negatively with the band-mean image. A constant cube gives zeros.
     """
     h, w, b = cube.height, cube.width, cube.bands
     X = cube.values.reshape(h * w, b)
-    if b == 1:
-        return _min_max(X[:, 0]).reshape(h, w)
     Xc = X - X.mean(axis=0)
-    cov = (Xc.T @ Xc) / max(h * w - 1, 1)
-
-    vec = np.ones(b) / np.sqrt(b)
-    eig = 0.0
-    for _ in range(max_iter):
-        nxt = cov @ vec
-        norm = np.linalg.norm(nxt)
-        if norm == 0:  # zero covariance: constant cube
-            score = np.zeros(h * w)
-            return score.reshape(h, w)
-        nxt /= norm
-        new_eig = float(nxt @ cov @ nxt)
-        if abs(new_eig - eig) <= tol * max(abs(new_eig), 1e-300):
-            vec, eig = nxt, new_eig
-            break
-        vec, eig = nxt, new_eig
-    else:
-        resid = float(np.linalg.norm(cov @ vec - eig * vec))
-        raise NumericalError(
-            f"power iteration did not converge after {max_iter} iterations "
-            f"(Rayleigh residual {resid:.3e})"
-        )
-
-    score = Xc @ vec
-    mean_img = Xc.mean(axis=1)
-    if float(score @ mean_img) < 0:
+    _, vecs = np.linalg.eigh(Xc.T @ Xc / max(h * w - 1, 1))
+    score = Xc @ vecs[:, -1]
+    if float(score @ Xc.mean(axis=1)) < 0:
         score = -score
-    return _min_max(score).reshape(h, w)
+    return min_max(score).reshape(h, w)
 
 
-def _min_max(v: np.ndarray) -> np.ndarray:
+def min_max(v: np.ndarray) -> np.ndarray:
+    """Affine map of an array onto [0, 1]; a constant array maps to zeros."""
     lo, hi = v.min(), v.max()
     if hi == lo:
         return np.zeros_like(v)

@@ -21,6 +21,7 @@ from btckit.btc import BtcParams, btc_classify, btc_residuals  # noqa: F401
 from btckit.data import Dictionary, HsiCube, LabelMap
 from btckit.errors import BtckitError, ConfigError, NumericalError
 from btckit.kbtc import KbtcParams, KernelCache, kbtc_residuals, kernel_cache
+from btckit.linalg import min_max, pca_first_component
 
 
 @dataclass(frozen=True)
@@ -37,19 +38,17 @@ class ResidualCube:
 
 @dataclass(frozen=True)
 class WlsParams:
-    """Smoothing degree lambda, gradient exponent, and CG solve controls."""
+    """Smoothing degree lambda, gradient exponent, and gradient floor."""
 
     lam: float = 0.4
     alpha_wls: float = 0.9
     eps_wls: float = 1e-4
-    cg_tol: float = 1e-5
-    cg_max_iter: int = 2000
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ConfigError("lambda must be >= 0")
-        if self.alpha_wls <= 0 or self.eps_wls <= 0:
-            raise ConfigError("alpha_wls and eps_wls must be positive")
+        if not 0 <= self.lam < np.inf:
+            raise ConfigError("lambda must be finite and >= 0")
+        if not (0 < self.alpha_wls < np.inf and 0 < self.eps_wls < np.inf):
+            raise ConfigError("alpha_wls and eps_wls must be finite and positive")
 
 
 def build_residual_cube(
@@ -87,20 +86,13 @@ def build_residual_cube(
 
     if per_layer:
         for k in range(raw.shape[2]):
-            raw[:, :, k] = _min_max(raw[:, :, k])
+            raw[:, :, k] = min_max(raw[:, :, k])
     else:
-        raw = _min_max(raw)
+        raw = min_max(raw)
     return (
         ResidualCube(values=raw, normalized=True),
         LabelMap(height=h, width=w, labels=classmap),
     )
-
-
-def _min_max(a: np.ndarray) -> np.ndarray:
-    lo, hi = a.min(), a.max()
-    if hi == lo:
-        return np.zeros_like(a)
-    return (a - lo) / (hi - lo)
 
 
 def mask_by_classmap(cube: ResidualCube, classmap: LabelMap) -> ResidualCube:
@@ -109,21 +101,20 @@ def mask_by_classmap(cube: ResidualCube, classmap: LabelMap) -> ResidualCube:
         raise ConfigError("mask_by_classmap requires a normalized cube")
     if classmap.labels.shape != cube.values.shape[:2]:
         raise ConfigError("class map dims do not match cube")
-    masked = cube.values.copy()
-    for k in range(cube.n_classes):
-        masked[:, :, k][classmap.labels != k + 1] = 1.0
-    return ResidualCube(values=masked, normalized=True)
+    own = classmap.labels[:, :, None] == np.arange(1, cube.n_classes + 1)
+    return ResidualCube(values=np.where(own, cube.values, 1.0), normalized=True)
 
 
 def box_smooth(image: np.ndarray, window: int) -> np.ndarray:
-    """Mean filter with replicate padding; window must be odd, 1 is identity."""
+    """Mean filter with replicate padding over an H x W image or each layer of
+    an H x W x C stack; window must be odd, 1 is identity."""
     if window < 1 or window % 2 == 0:
         raise ConfigError(f"window must be odd and >= 1, got {window}")
+    image = np.asarray(image, dtype=np.float64)
     if window == 1:
-        return np.asarray(image, dtype=np.float64).copy()
-    return scipy.ndimage.uniform_filter(
-        np.asarray(image, dtype=np.float64), size=window, mode="nearest"
-    )
+        return image.copy()
+    size = (window, window) + (1,) * (image.ndim - 2)
+    return scipy.ndimage.uniform_filter(image, size=size, mode="nearest")
 
 
 def wls_smooth(
@@ -131,30 +122,30 @@ def wls_smooth(
 ) -> np.ndarray:
     """Edge-preserving smoothing: solve (I + lambda * L_g) u = image.
 
-    L_g is the 4-neighbor graph Laplacian with weights
-    (|grad g|^alpha_wls + eps_wls)^-1 on guidance gradients, Neumann
-    boundaries. Solved by preconditioned conjugate gradient.
+    ``image`` is H x W or an H x W x C stack of layers. L_g is the 4-neighbor
+    graph Laplacian with weights (|grad g|^alpha_wls + eps_wls)^-1 on
+    guidance gradients, Neumann boundaries. The system is factored once by
+    sparse LU and every layer is solved exactly against that factor.
     """
     image = np.asarray(image, dtype=np.float64)
     guidance = np.asarray(guidance, dtype=np.float64)
-    if image.shape != guidance.shape or image.ndim != 2:
-        raise ConfigError("image and guidance must be 2-D with equal shape")
+    if guidance.ndim != 2 or image.ndim not in (2, 3) or image.shape[:2] != guidance.shape:
+        raise ConfigError("guidance must be 2-D and match the image's height and width")
+    if not np.all(np.isfinite(guidance)):
+        raise ConfigError("guidance image has non-finite values")
     if params.lam == 0:
         return image.copy()
 
-    h, w = image.shape
+    h, w = guidance.shape
     system = scipy.sparse.identity(h * w, format="csr") + params.lam * _guidance_laplacian(
         guidance, params
     )
-    b = image.ravel()
-    precond = scipy.sparse.diags(1.0 / system.diagonal())
-    u, info = scipy.sparse.linalg.cg(
-        system, b, rtol=params.cg_tol, maxiter=params.cg_max_iter, M=precond
-    )
-    if info != 0:
-        resid = float(np.linalg.norm(system @ u - b) / np.linalg.norm(b))
-        raise NumericalError(f"CG did not converge (info={info}, relative residual {resid:.3e})")
-    return u.reshape(h, w)
+    try:
+        # the system is symmetric: a symmetric fill-reducing ordering halves the LU fill
+        factor = scipy.sparse.linalg.splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # lambda * weights so large the identity term is lost
+        raise NumericalError(f"WLS system is singular: {exc}") from None
+    return factor.solve(image.reshape(h * w, -1)).reshape(image.shape)
 
 
 def _guidance_laplacian(guidance: np.ndarray, params: WlsParams) -> scipy.sparse.csr_matrix:
@@ -206,8 +197,6 @@ def spatial_spectral_classify(
     defaults to the first principal component of the cube. Returns
     (smoothed class map, pixel-wise class map).
     """
-    from btckit.linalg import pca_first_component
-
     residual_cube, pixelwise = build_residual_cube(cube, dictionary, params, cache=cache)
     if mask:
         residual_cube = mask_by_classmap(residual_cube, pixelwise)
@@ -215,21 +204,11 @@ def spatial_spectral_classify(
     if smoothing == "none":
         smoothed = residual_cube.values
     elif smoothing == "box":
-        smoothed = np.stack(
-            [box_smooth(residual_cube.values[:, :, k], window) for k in range(residual_cube.n_classes)],
-            axis=2,
-        )
+        smoothed = box_smooth(residual_cube.values, window)
     elif smoothing == "wls":
         if guidance is None:
             guidance = pca_first_component(cube)
-        wp = wls_params or WlsParams()
-        smoothed = np.stack(
-            [
-                wls_smooth(residual_cube.values[:, :, k], guidance, wp)
-                for k in range(residual_cube.n_classes)
-            ],
-            axis=2,
-        )
+        smoothed = wls_smooth(residual_cube.values, guidance, wls_params or WlsParams())
     else:
         raise ConfigError(f"unknown smoothing {smoothing!r}")
 

@@ -271,7 +271,7 @@ def test_criterion_8_spatial_spectral_gain():
 def test_criterion_9_wls_correctness():
     rng = default_rng(102)
     worst = 0.0
-    params = WlsParams(lam=0.4, alpha_wls=0.9, cg_tol=1e-10)
+    params = WlsParams(lam=0.4, alpha_wls=0.9)
     for _ in range(5):
         img = rng.normal(size=(16, 16))
         guidance = rng.uniform(0, 1, (16, 16))
@@ -288,7 +288,7 @@ def test_criterion_9_wls_correctness():
     fixed_ok = np.allclose(
         wls_smooth(const, rng.uniform(0, 1, (8, 8)), params), const, atol=1e-8
     )
-    ok = worst <= 1e-6 and identity_ok and fixed_ok
+    ok = worst <= 1e-10 and identity_ok and fixed_ok
     _report(
         9,
         ok,

@@ -61,6 +61,22 @@ class TestLoadDenseDataset:
         with pytest.raises(DataFormatError, match="non-numeric cell"):
             load_dense_dataset(f, l)
 
+    def test_values_equal_per_cell_float_parse(self, tmp_path, rng):
+        values = rng.normal(scale=1e3, size=(40, 7))
+        cells = [[format(v, fmt) for v, fmt in zip(row, ("", ".17g", ".6e", ".3f", "g", ".12e", ".0f"))]
+                 for row in values]
+        text = "f1,f2,f3,f4,f5,f6,f7\n" + "\n\n".join(" , ".join(row) for row in cells) + "\n"
+        f = _write(tmp_path / "x.csv", text)
+        l = _write(tmp_path / "y.csv", "1\n" * 40)
+        samples, _ = load_dense_dataset(f, l)
+        np.testing.assert_array_equal(samples, [[float(c) for c in row] for row in cells])
+
+    def test_header_only_has_no_samples(self, tmp_path):
+        f = _write(tmp_path / "x.csv", "a,b\n")
+        l = _write(tmp_path / "y.csv", "")
+        with pytest.raises(DataFormatError, match="no samples"):
+            load_dense_dataset(f, l)
+
     def test_label_below_one(self, tmp_path):
         f = _write(tmp_path / "x.csv", "1,0\n0,1\n")
         l = _write(tmp_path / "y.csv", "0\n1\n")

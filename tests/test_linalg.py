@@ -157,6 +157,11 @@ class TestPcaFirstComponent:
         out_p = pca_first_component(HsiCube(5, 5, 6, values[:, :, perm]))
         np.testing.assert_allclose(out, out_p, atol=1e-6)
 
+    def test_constant_cube_gives_zeros(self):
+        for values in (np.full((7, 9, 5), 0.3), np.tile(np.linspace(0.1, 0.9, 5), (7, 9, 1))):
+            out = pca_first_component(HsiCube(7, 9, 5, values))
+            np.testing.assert_array_equal(out, np.zeros((7, 9)))
+
     def test_output_in_unit_interval(self, rng):
         values = rng.normal(size=(4, 4, 3)) * 100
         out = pca_first_component(HsiCube(4, 4, 3, values))

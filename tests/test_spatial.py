@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from numpy.random import default_rng
 
 from btckit import (
@@ -20,7 +21,7 @@ from btckit import (
     spatial_spectral_classify,
     wls_smooth,
 )
-from btckit.errors import ConfigError
+from btckit.errors import ConfigError, NumericalError
 from btckit.spatial import _guidance_laplacian
 from tests.conftest import make_blocky_scene, make_train_mask
 
@@ -106,11 +107,12 @@ class TestMaskByClassmap:
         cube = ResidualCube(values=values, normalized=True)
         labels = rng.integers(1, 5, (5, 6))
         masked = mask_by_classmap(cube, LabelMap(5, 6, labels))
+        expected = np.empty_like(values)
         for r in range(5):
             for c in range(6):
                 for k in range(4):
-                    expected = values[r, c, k] if labels[r, c] == k + 1 else 1.0
-                    assert masked.values[r, c, k] == expected
+                    expected[r, c, k] = values[r, c, k] if labels[r, c] == k + 1 else 1.0
+        np.testing.assert_array_equal(masked.values, expected)
         assert np.all(masked.values >= values - 1e-15)
 
     def test_dim_mismatch_rejected(self, rng):
@@ -138,6 +140,11 @@ class TestBoxSmooth:
                     padded[r : r + 3, c : c + 3].mean(), abs=1e-12
                 )
 
+    def test_stack_equals_per_layer_calls(self, rng):
+        stack = rng.uniform(0, 1, (9, 11, 4))
+        per_layer = np.stack([box_smooth(stack[:, :, k], 5) for k in range(4)], axis=2)
+        np.testing.assert_array_equal(box_smooth(stack, 5), per_layer)
+
     def test_even_window_rejected(self):
         with pytest.raises(ConfigError):
             box_smooth(np.zeros((3, 3)), 4)
@@ -151,7 +158,7 @@ class TestWlsSmooth:
 
     def test_constant_fixed_point(self, rng):
         img = np.full((8, 8), 0.3)
-        out = wls_smooth(img, rng.uniform(0, 1, (8, 8)), WlsParams(cg_tol=1e-10))
+        out = wls_smooth(img, rng.uniform(0, 1, (8, 8)), WlsParams())
         np.testing.assert_allclose(out, img, atol=1e-8)
 
     def test_matches_dense_direct_solve(self, rng):
@@ -160,11 +167,11 @@ class TestWlsSmooth:
         img += rng.normal(0, 0.1, (16, 16))
         guidance = np.zeros((16, 16))
         guidance[:, 8:] = 1.0
-        params = WlsParams(lam=0.4, alpha_wls=0.9, cg_tol=1e-10)
+        params = WlsParams(lam=0.4, alpha_wls=0.9)
         out = wls_smooth(img, guidance, params)
         L = _guidance_laplacian(guidance, params).toarray()
         dense = np.linalg.solve(np.eye(256) + 0.4 * L, img.ravel()).reshape(16, 16)
-        np.testing.assert_allclose(out, dense, atol=1e-6)
+        np.testing.assert_allclose(out, dense, atol=1e-10)
 
     def test_step_edge_smoothing_preserves_contrast(self, rng):
         img = np.zeros((16, 16))
@@ -172,7 +179,7 @@ class TestWlsSmooth:
         img += rng.normal(0, 0.1, (16, 16))
         guidance = np.zeros((16, 16))
         guidance[:, 8:] = 1.0
-        out = wls_smooth(img, guidance, WlsParams(lam=0.4, alpha_wls=0.9, cg_tol=1e-8))
+        out = wls_smooth(img, guidance, WlsParams(lam=0.4, alpha_wls=0.9))
         # variance within each flat region strictly reduced
         assert out[:, :8].var() < img[:, :8].var()
         assert out[:, 8:].var() < img[:, 8:].var()
@@ -181,9 +188,42 @@ class TestWlsSmooth:
         contrast_out = out[:, 8:].mean() - out[:, :8].mean()
         assert contrast_out >= 0.8 * contrast_in
 
+    def test_stack_equals_per_layer_calls(self, rng):
+        stack = rng.uniform(0, 1, (10, 12, 3))
+        guidance = rng.uniform(0, 1, (10, 12))
+        params = WlsParams()
+        per_layer = np.stack([wls_smooth(stack[:, :, k], guidance, params) for k in range(3)], axis=2)
+        np.testing.assert_array_equal(wls_smooth(stack, guidance, params), per_layer)
+
+    def test_factors_once_per_call(self, rng, monkeypatch):
+        calls = []
+        splu = scipy.sparse.linalg.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+        wls_smooth(rng.uniform(0, 1, (6, 7, 5)), rng.uniform(0, 1, (6, 7)), WlsParams())
+        assert len(calls) == 1
+
+    def test_non_finite_guidance_rejected(self, rng):
+        guidance = rng.uniform(0, 1, (6, 6))
+        guidance[2, 3] = np.nan
+        with pytest.raises(ConfigError, match="non-finite"):
+            wls_smooth(rng.uniform(0, 1, (6, 6, 2)), guidance, WlsParams())
+
+    def test_overflowing_lambda_is_a_numerical_error(self, rng):
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="singular"):
+            wls_smooth(rng.uniform(0, 1, (6, 6)), rng.uniform(0, 1, (6, 6)), WlsParams(lam=1e308))
+
+    def test_shape_mismatch_rejected(self, rng):
+        with pytest.raises(ConfigError):
+            wls_smooth(rng.uniform(0, 1, (6, 6, 2)), rng.uniform(0, 1, (6, 5)), WlsParams())
+
     def test_mean_preserved_under_uniform_guidance(self, rng):
         img = rng.uniform(0, 1, (12, 12))
-        out = wls_smooth(img, np.full((12, 12), 0.5), WlsParams(cg_tol=1e-10))
+        out = wls_smooth(img, np.full((12, 12), 0.5), WlsParams())
         assert out.mean() == pytest.approx(img.mean(), abs=1e-8)
 
     def test_invalid_params_rejected(self):
@@ -191,6 +231,11 @@ class TestWlsSmooth:
             WlsParams(lam=-1.0)
         with pytest.raises(ConfigError):
             WlsParams(alpha_wls=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                WlsParams(lam=bad)
+            with pytest.raises(ConfigError):
+                WlsParams(eps_wls=bad)
 
 
 class TestDecideFromCube:
