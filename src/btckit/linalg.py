@@ -29,6 +29,9 @@ CHUNK_BYTES = 1 << 20
 # one above it is rounding, clamped to zero.
 RADICAND_FLOOR = -1e-10
 
+# _tril_inverse inverts diagonal blocks of at most this order by LU
+TRIL_BLOCK = 32
+
 
 def chunks(n_items: int, floats_per_item: int) -> Iterator[slice]:
     """Consecutive slices of range(n_items), each holding about CHUNK_BYTES of work."""
@@ -53,8 +56,18 @@ def solve_spd_regularized(G: np.ndarray, b: np.ndarray, alpha: float) -> np.ndar
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     system = G + alpha * np.eye(G.shape[-1])
+    _cholesky(system)
+    return np.linalg.solve(system, b[..., None])[..., 0]
+
+
+def _cholesky(system: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of SPD matrices.
+
+    A factorization that fails raises NumericalError whose ``sample`` is the
+    first failing system of the stack.
+    """
     try:
-        np.linalg.cholesky(system)
+        return np.linalg.cholesky(system)
     except np.linalg.LinAlgError:
         for i, one in enumerate(system.reshape(-1, *system.shape[-2:])):
             try:
@@ -62,7 +75,26 @@ def solve_spd_regularized(G: np.ndarray, b: np.ndarray, alpha: float) -> np.ndar
             except np.linalg.LinAlgError:
                 raise NumericalError("SPD factorization failed", sample=i) from None
         raise
-    return np.linalg.solve(system, b[..., None])[..., 0]
+
+
+def _tril_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a stack of lower triangular matrices (..., k, k), lower triangular too.
+
+    Two-by-two block recursion, [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]],
+    down to blocks of at most TRIL_BLOCK rows that ``np.linalg.inv`` takes: NumPy
+    has no batched triangular inverse, and the recursion spends its work in
+    batched matrix products.
+    """
+    k = L.shape[-1]
+    if k <= TRIL_BLOCK:
+        return np.tril(np.linalg.inv(L))
+    h = k // 2
+    A, C = _tril_inverse(L[..., :h, :h]), _tril_inverse(L[..., h:, h:])
+    W = np.zeros_like(L)
+    W[..., :h, :h] = A
+    W[..., h:, h:] = C
+    W[..., h:, :h] = -np.matmul(C, np.matmul(L[..., h:, :h], A))
+    return W
 
 
 def top_m_rows(
@@ -148,28 +180,47 @@ def gram_residuals(
     labels = col_labels[support] - 1
     if features is not None:
         return _feature_residuals(*features, support, x, labels, n_classes, kyy), x
+    return _class_residuals(G, v, x[:, None, :], labels, n_classes, kyy, k, first)[:, 0], x
+
+
+def _class_residuals(
+    G: np.ndarray,
+    v: np.ndarray,
+    x: np.ndarray,
+    labels: np.ndarray,
+    n_classes: int,
+    kyy: np.ndarray,
+    k: int | np.ndarray,
+    first: int,
+) -> np.ndarray:
+    """Per-class residuals (S x J x C) of J codes per sample on one support each.
+
+    ``G`` (S x k x k) holds the supports' Gram blocks, ``v`` (S x k) their
+    values K(A_s, y), ``labels`` (S x k) their classes 0..C-1 and ``x``
+    (S x J x k) the codes, zero past a code's own support size k (an int or
+    an array broadcasting against J x C). Class j's residual is
+    sqrt(K(y,y) - 2 x_j'v_j + x_j'G_jj x_j). A radicand below RADICAND_FLOOR,
+    less the rounding its terms can carry, raises NumericalError naming
+    sample ``first + i``; a negative one above it is clamped to zero.
+    """
     G_own = np.where(labels[:, :, None] == labels[:, None, :], G, 0.0)
-    gx = np.matmul(G_own, x[:, :, None])[:, :, 0]
-    keys = (rows * n_classes + labels).ravel()
-
-    def per_class(terms: np.ndarray) -> np.ndarray:
-        sums = np.bincount(keys, weights=terms.ravel(), minlength=s * n_classes)
-        return sums.reshape(s, n_classes)
-
-    # per atom x_i (2 v_i - (G_jj x_j)_i), summed per class j
-    radicand = kyy[:, None] - per_class(x * (2.0 * v - gx))
+    onehot = (labels[:, :, None] == np.arange(n_classes)).astype(np.float64)
+    # per atom x_i (2 v_i - (G_jj x_j)_i), summed per class j; G_own is
+    # symmetric, so row j of x @ G_own is G_own x_j
+    radicand = kyy[:, None, None] - np.matmul(x * (2.0 * v[:, None, :] - np.matmul(x, G_own)), onehot)
     # the rounding in that sum grows with the magnitude of its terms
-    g_abs_x = np.matmul(np.abs(G_own), np.abs(x)[:, :, None])[:, :, 0]
-    size = np.abs(kyy)[:, None] + per_class(np.abs(x) * (2.0 * np.abs(v) + g_abs_x))
-    floor = RADICAND_FLOOR * np.maximum(kyy, 1.0)[:, None] - (k + 2) * np.finfo(float).eps * size
+    abs_x = np.abs(x)
+    terms = abs_x * (2.0 * np.abs(v[:, None, :]) + np.matmul(abs_x, np.abs(G_own)))
+    size = np.abs(kyy)[:, None, None] + np.matmul(terms, onehot)
+    floor = RADICAND_FLOOR * np.maximum(kyy, 1.0)[:, None, None] - (k + 2) * np.finfo(float).eps * size
     bad = np.argwhere(radicand < floor)
     if bad.size:
-        i, c = bad[0]
+        i, _, c = bad[0]
         raise NumericalError(
-            f"negative residual radicand {radicand[i, c]:.3e} for class {c + 1}",
+            f"negative residual radicand {radicand[tuple(bad[0])]:.3e} for class {c + 1}",
             sample=first + int(i),
         )
-    return np.sqrt(np.maximum(radicand, 0.0)), x
+    return np.sqrt(np.maximum(radicand, 0.0))
 
 
 def _feature_residuals(
@@ -183,17 +234,13 @@ def _feature_residuals(
 ) -> np.ndarray:
     """||y - A_j x_j|| per row y of Y and class j with support atoms; sqrt(K(y,y)) otherwise."""
     out = np.repeat(np.sqrt(kyy)[:, None], n_classes, axis=1)
-    if not support.size:
-        return out
-    # atoms grouped by (row, class), selection order kept within a class
-    order = np.argsort(labels, axis=1, kind="stable")
-    labels, support, x = (np.take_along_axis(a, order, axis=1) for a in (labels, support, x))
-    for sl in chunks(len(Y), 2 * support.shape[1] * atoms.shape[1]):
-        keys = (np.arange(sl.start, sl.stop)[:, None] * n_classes + labels[sl]).ravel()
-        scaled = atoms[support[sl].ravel()] * x[sl].reshape(-1, 1)
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        row, cls = np.divmod(keys[starts], n_classes)
-        out[row, cls] = np.linalg.norm(Y[row] - np.add.reduceat(scaled, starts, axis=0), axis=1)
+    classes = np.arange(n_classes)[:, None]
+    for sl in chunks(len(Y), (n_classes + support.shape[1]) * atoms.shape[1]):
+        mine = labels[sl, None, :] == classes
+        # x_i at [row, class(i), i]: every class reconstruction A_j x_j in one batched GEMM
+        recon = np.matmul(np.where(mine, x[sl, None, :], 0.0), atoms[support[sl]])
+        recon -= Y[sl, None, :]
+        out[sl] = np.where(mine.any(axis=2), np.linalg.norm(recon, axis=2), out[sl])
     return out
 
 
@@ -209,36 +256,49 @@ def beta_profile(
 
     Column g is coded on the M-1 columns ranked highest against it (itself
     excluded) and scored as own-class residual over best rival residual, inf
-    on a zero rival. Supports for every M are prefixes of one ranking.
+    on a zero rival. Supports for every M are prefixes of one ranking, so
+    one Cholesky factorization per column serves every M.
     ``gram`` is the kernel matrix of the columns, by default A'A.
     """
     n_classes, col_labels = dictionary.n_classes, dictionary.column_labels()
     if n_classes < 2:
         raise ConfigError("beta needs a competing class")
-    ks = [int(m) - 1 for m in ms]
-    if not ks or min(ks) < 0:
+    ks = np.array([int(m) - 1 for m in ms], dtype=np.int64)
+    if not ks.size or ks.min() < 0:
         raise ConfigError(f"beta needs thresholds M >= 1, got {list(ms)}")
     if gram is None:
         gram = dictionary.columns.T @ dictionary.columns
     n = gram.shape[0]
     cols = np.arange(n) if cols is None else np.asarray(cols, dtype=np.int64)
-    k_max = min(max(ks), n - 1)
-    out = np.empty((len(ks), cols.size))
-    for sl in chunks(cols.size, n + k_max * k_max):
+    k_max = min(int(ks.max()), n - 1)
+    ks = np.minimum(ks, k_max)
+    # row j keeps the first ks[j] atoms of the ranking
+    prefix = np.arange(k_max) < ks[:, None]
+    out = np.empty((ks.size, cols.size))
+    for sl in chunks(cols.size, n + k_max * (k_max + ks.size)):
         g = cols[sl]
         V = np.ascontiguousarray(gram[:, g].T)
         ranked = top_m_rows(V, k_max, mode, exclude=g) if k_max else np.empty((g.size, 0), np.int64)
         rows = np.arange(g.size)
+        G = gram[ranked[:, :, None], ranked[:, None, :]]
+        v = V[rows[:, None], ranked]
+        try:
+            L = _cholesky(G + alpha * np.eye(k_max))
+        except NumericalError as exc:
+            raise NumericalError(exc.args[0], sample=sl.start + exc.sample) from None
+        # W = L^-1 is lower triangular and its leading k x k block inverts L's,
+        # so the code on the first k atoms is x_k = W_k' (W_k v_k)
+        W = _tril_inverse(L)
+        z = np.matmul(W, v[:, :, None])[:, :, 0]
+        x = np.matmul(z[:, None, :] * prefix, W)
+        labels = col_labels[ranked] - 1
+        residuals = _class_residuals(G, v, x, labels, n_classes, gram[g, g], ks[:, None], sl.start)
         own = col_labels[g] - 1
-        for j, k in enumerate(ks):
-            residuals, _ = gram_residuals(
-                gram, col_labels, n_classes, V, gram[g, g], ranked[:, :k], alpha, first=sl.start
-            )
-            mine = residuals[rows, own]
-            residuals[rows, own] = np.inf
-            rival = residuals.min(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[j, sl] = np.where(rival == 0, np.inf, mine / rival)
+        mine = residuals[rows, :, own]
+        residuals[rows, :, own] = np.inf
+        rival = residuals.min(axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[:, sl] = np.where(rival == 0, np.inf, mine / rival).T
     return out
 
 

@@ -23,6 +23,10 @@ from btckit.errors import BtckitError, ConfigError, NumericalError
 from btckit.kbtc import KbtcParams, KernelCache, kbtc_residuals, kernel_cache
 from btckit.linalg import min_max, pca_first_component
 
+# Largest drift of a smoothed layer's sum, relative to the layer's absolute
+# sum, that wls_smooth accepts as rounding
+WLS_SUM_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ResidualCube:
@@ -56,15 +60,15 @@ def build_residual_cube(
     dictionary: Dictionary,
     params: BtcParams | KbtcParams,
     cache: KernelCache | None = None,
-    per_layer: bool = False,
 ) -> tuple[ResidualCube, LabelMap]:
     """Classify every pixel and stack the residual vectors into a cube.
 
     BTC is used for :class:`BtcParams`, KBTC for :class:`KbtcParams` (the
     kernel cache is built on demand); the whole cube goes through one batch
-    call. The cube is min-max normalized to [0, 1], globally by default or
-    per layer. Also returns the pixel-wise class map. A pixel that fails
-    raises NumericalError naming its (row, column).
+    call. The whole cube is min-max normalized to [0, 1] with one scale, so
+    residuals stay comparable across layers. Also returns the pixel-wise
+    class map. A pixel that fails raises NumericalError naming its (row,
+    column).
     """
     h, w = cube.height, cube.width
     pixels = cube.values.reshape(h * w, cube.bands)
@@ -82,15 +86,8 @@ def build_residual_cube(
         raise NumericalError(f"pixel ({r},{c}): {exc.args[0]}") from exc
     # np.argmin returns the first minimum: lowest class id on ties
     classmap = np.argmin(flat, axis=1).reshape(h, w) + 1
-    raw = flat.reshape(h, w, dictionary.n_classes)
-
-    if per_layer:
-        for k in range(raw.shape[2]):
-            raw[:, :, k] = min_max(raw[:, :, k])
-    else:
-        raw = min_max(raw)
     return (
-        ResidualCube(values=raw, normalized=True),
+        ResidualCube(values=min_max(flat.reshape(h, w, dictionary.n_classes)), normalized=True),
         LabelMap(height=h, width=w, labels=classmap),
     )
 
@@ -145,7 +142,19 @@ def wls_smooth(
         factor = scipy.sparse.linalg.splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # lambda * weights so large the identity term is lost
         raise NumericalError(f"WLS system is singular: {exc}") from None
-    return factor.solve(image.reshape(h * w, -1)).reshape(image.shape)
+    rhs = image.reshape(h * w, -1)
+    out = factor.solve(rhs)
+    # 1'(I + lambda L_g) = 1', so every layer keeps its sum; a drift means the
+    # identity term was lost to rounding next to lambda * L_g
+    drift = np.abs(out.sum(axis=0) - rhs.sum(axis=0))
+    lost = np.flatnonzero(drift > WLS_SUM_TOL * np.abs(rhs).sum(axis=0))
+    if lost.size:
+        k = lost[0]
+        raise NumericalError(
+            f"WLS solve lost the identity term at lambda={params.lam:g}: layer {k + 1} sum "
+            f"drifted by {drift[k]:.3e} (tolerance {WLS_SUM_TOL:g} of its absolute sum)"
+        )
+    return out.reshape(image.shape)
 
 
 def _guidance_laplacian(guidance: np.ndarray, params: WlsParams) -> scipy.sparse.csr_matrix:

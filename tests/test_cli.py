@@ -250,6 +250,11 @@ class TestHsiCommand:
         assert np.sum(report["confusion"]) == test.sum() < (gt.labels > 0).sum()
         assert report["oa"] == pytest.approx(np.mean(pixelwise[test] == gt.labels[test]))
 
+    def test_wls_losing_identity_term_exit_code(self, tmp_path):
+        args, _, _ = _hsi_files(tmp_path)
+        out = ["--smoothing", "wls", "--wls-lambda", "1e12", "--output-dir", str(tmp_path / "hsi")]
+        assert main(args + out) == 4
+
     def test_non_integer_label_map_exit_code(self, tmp_path):
         args, _, _ = _hsi_files(tmp_path)
         with open(tmp_path / "gt.csv", "a", encoding="utf-8") as fh:

@@ -32,7 +32,7 @@ from btckit import (
     top_m_select,
 )
 from btckit import linalg
-from btckit.linalg import gram_residuals, top_m_rows
+from btckit.linalg import beta_profile, gram_residuals, top_m_rows
 from btckit.data import NORM_L2, NORM_RANGE
 from btckit.errors import NumericalError
 
@@ -308,3 +308,141 @@ class TestNumericalPolicy:
         np.testing.assert_array_equal(residuals(-0.5e-10), 0.0)  # rounding: clamped
         with pytest.raises(NumericalError, match="negative residual radicand"):
             residuals(-2e-10)
+
+
+def _beta_reference(gram, labels, ms, alpha, mode, features=None):
+    """Per column and M: a stable-sort ranking without the column, one solve, per-class residuals.
+
+    With ``features`` (N x B rows) a residual is ||a_g - A_j x_j||, else the
+    kernel expansion sqrt(K(g,g) - 2 x_j'v_j + x_j'G_jj x_j), class by class.
+    """
+    n, n_classes = gram.shape[0], int(labels.max())
+    out = np.empty((len(ms), n))
+    for g in range(n):
+        scores = np.abs(gram[g]) if mode == linalg.SELECT_MAGNITUDE else gram[g]
+        ranking = [i for i in _stable_top(scores, n) if i != g]
+        for j, m in enumerate(ms):
+            s = ranking[: m - 1]
+            x = np.linalg.solve(gram[np.ix_(s, s)] + alpha * np.eye(len(s)), gram[s, g]) if s else np.zeros(0)
+            res = []
+            for c in range(1, n_classes + 1):
+                own = [t for t, i in enumerate(s) if labels[i] == c]
+                atoms, code = [s[t] for t in own], x[own]
+                if features is not None:
+                    res.append(np.linalg.norm(features[g] - code @ features[atoms]))
+                else:
+                    quad = gram[g, g] - 2 * code @ gram[atoms, g] + code @ gram[np.ix_(atoms, atoms)] @ code
+                    res.append(np.sqrt(max(quad, 0.0)))
+            rival = min(r for c, r in enumerate(res, 1) if c != labels[g])
+            out[j, g] = np.inf if rival == 0 else res[labels[g] - 1] / rival
+    return out
+
+
+def _tie_exact_gram(columns, gram):
+    """The Gram matrix with identical columns given bit-identical rows and columns."""
+    gram = gram.copy()
+    for i in range(columns.shape[1]):
+        for k in range(i):
+            if np.array_equal(columns[:, i], columns[:, k]):
+                gram[i, :] = gram[k, :]
+                gram[:, i] = gram[:, k]
+                break
+    return gram
+
+
+class TestBetaProfile:
+    # A column whose exact copy sits in a rival class has a rival residual of
+    # about alpha and a ratio of about 1/alpha, where the residual's Gram form
+    # keeps a relative, not an absolute, accuracy: the tolerance is both.
+
+    # thresholds: unsorted, repeated, and past the column count (K clamped to N - 1)
+    thresholds = st.lists(st.integers(1, 20), min_size=1, max_size=6)
+
+    def _dictionary(self, problem, duplicate, norm_mode):
+        seed, b, per_class, c, _ = problem
+        rng = default_rng(seed)
+        samples = rng.normal(size=(per_class * c, b))
+        if duplicate:
+            # exact copies tie with their originals, also at the M-th ranked score
+            n = samples.shape[0]
+            samples[rng.integers(0, n, n // 2)] = samples[rng.integers(0, n, n // 2)]
+        return build_dictionary(samples, np.repeat(np.arange(1, c + 1), per_class), norm_mode)
+
+    @SETTINGS
+    @given(problems, thresholds, st.booleans())
+    def test_btc_gram_equals_reference(self, problem, ms, duplicate):
+        d = self._dictionary(problem, duplicate, NORM_L2)
+        gram = _tie_exact_gram(d.columns, d.columns.T @ d.columns)
+        with _tiny_chunks():
+            got = beta_profile(d, ms, 0.01, linalg.SELECT_MAGNITUDE, gram)
+        ref = _beta_reference(gram, d.column_labels(), ms, 0.01, linalg.SELECT_MAGNITUDE, d.columns.T)
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
+
+    @SETTINGS
+    @given(problems, thresholds, st.booleans(), st.floats(0.05, 4.0))
+    def test_kbtc_gram_equals_reference(self, problem, ms, duplicate, gamma):
+        d = self._dictionary(problem, duplicate, NORM_RANGE)
+        gram = _tie_exact_gram(d.columns, kernel_cache(d, KernelSpec(kind="rbf", gamma=gamma)).gram)
+        got = beta_profile(d, ms, 0.01, linalg.SELECT_RAW, gram)
+        ref = _beta_reference(gram, d.column_labels(), ms, 0.01, linalg.SELECT_RAW)
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
+
+    def test_rankings_past_one_inverse_block_equal_reference(self):
+        # K = 39 > TRIL_BLOCK: the triangular inverse recurses
+        _, d, _ = _problem(9, 40, 16, 3, 1)
+        gram = d.columns.T @ d.columns
+        ms = [40, 2, 17, 33, 40]
+        got = beta_profile(d, ms, 0.01, linalg.SELECT_MAGNITUDE, gram)
+        ref = _beta_reference(gram, d.column_labels(), ms, 0.01, linalg.SELECT_MAGNITUDE, d.columns.T)
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("k", [1, 5, 33, 70])
+    def test_tril_inverse(self, k):
+        rng = default_rng(k)
+        L = np.tril(rng.normal(size=(3, k, k))) / k
+        L[:, np.arange(k), np.arange(k)] = rng.uniform(1, 2, (3, k))
+        W = linalg._tril_inverse(L)
+        np.testing.assert_array_equal(W, np.tril(W))
+        np.testing.assert_allclose(np.matmul(W, L), np.broadcast_to(np.eye(k), L.shape), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("ms", [[2], [4, 2]])
+    def test_non_pd_block_names_the_column(self, ms):
+        _, d, _ = _problem(8, 6, 5, 3, 4)
+        gram = d.columns.T @ d.columns
+        ranked = top_m_rows(gram, max(ms) - 1, exclude=np.arange(d.n_samples))
+        atom = int(ranked[5, 0])
+        gram[atom, atom] = -1.0  # no ranking changes: a column never ranks itself
+        first = int(np.flatnonzero((ranked == atom).any(axis=1))[0])
+        with _tiny_chunks(), pytest.raises(NumericalError, match=f"sample {first}:"):
+            beta_profile(d, ms, 0.01, linalg.SELECT_MAGNITUDE, gram)
+
+    def test_radicand_below_floor_raises(self):
+        # |K(a0, a1)| = 10 > sqrt(K(a0, a0) K(a1, a1)) breaks Cauchy-Schwarz: the radicand is about -99
+        d = Dictionary(np.eye(2), ((1, 0, 1), (2, 1, 1)), NORM_L2)
+        gram = np.array([[1.0, 10.0], [10.0, 1.0]])
+        with pytest.raises(NumericalError, match="sample 0: negative residual radicand"):
+            beta_profile(d, [2], 0.01, linalg.SELECT_MAGNITUDE, gram)
+
+
+class TestFeatureResiduals:
+    @SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(0, 6), st.integers(1, 5))
+    def test_equals_per_row_and_class_loop(self, seed, s, m, n_classes):
+        rng = default_rng(seed)
+        atoms = rng.normal(size=(12, 7))
+        col_labels = rng.integers(0, n_classes, 12)
+        Y = rng.normal(size=(s, 7))
+        support = np.argsort(rng.uniform(size=(s, 12)), axis=1)[:, :m]
+        x = rng.normal(size=(s, m))
+        kyy = rng.uniform(0.5, 2.0, s)
+        labels = col_labels[support]
+        with _tiny_chunks():
+            got = linalg._feature_residuals(atoms, Y, support, x, labels, n_classes, kyy)
+        for i in range(s):
+            for c in range(n_classes):
+                own = labels[i] == c
+                if own.any():
+                    direct = np.linalg.norm(Y[i] - x[i, own] @ atoms[support[i, own]])
+                    assert got[i, c] == pytest.approx(direct, rel=0, abs=1e-12)
+                else:
+                    assert got[i, c] == np.sqrt(kyy[i])

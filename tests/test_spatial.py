@@ -14,6 +14,7 @@ from btckit import (
     WlsParams,
     box_smooth,
     btc_classify,
+    btc_residuals,
     build_dictionary,
     build_residual_cube,
     decide_from_cube,
@@ -77,12 +78,16 @@ class TestBuildResidualCube:
         assert rc.normalized
         assert rc.values.min() == 0.0 and rc.values.max() == 1.0
 
-    def test_per_layer_normalization(self):
+    def test_global_normalization(self):
         cube, _, d = _two_class_setup()
-        rc, _ = build_residual_cube(cube, d, BtcParams(m=3, alpha=1e-4), per_layer=True)
-        for k in range(rc.n_classes):
-            assert rc.values[:, :, k].min() == 0.0
-            assert rc.values[:, :, k].max() == 1.0
+        params = BtcParams(m=3, alpha=1e-4)
+        rc, _ = build_residual_cube(cube, d, params)
+        raw = btc_residuals(d, cube.values.reshape(-1, cube.bands), params).reshape(rc.values.shape)
+        assert rc.values.min() == 0.0 and rc.values.max() == 1.0
+        np.testing.assert_array_equal(np.argmin(rc.values, axis=2), np.argmin(raw, axis=2))
+        # one scale for the whole cube: a layer keeps its range relative to the others
+        spans = [np.ptp(rc.values[:, :, k]) / np.ptp(raw[:, :, k]) for k in range(rc.n_classes)]
+        assert spans == pytest.approx([1 / np.ptp(raw)] * rc.n_classes, rel=1e-12)
 
 
 class TestMaskByClassmap:
@@ -216,6 +221,20 @@ class TestWlsSmooth:
     def test_overflowing_lambda_is_a_numerical_error(self, rng):
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="singular"):
             wls_smooth(rng.uniform(0, 1, (6, 6)), rng.uniform(0, 1, (6, 6)), WlsParams(lam=1e308))
+
+    def test_lost_identity_term_is_a_numerical_error(self, rng):
+        # 1'(I + lambda L_g) = 1': at lambda 1e12 the solve drifts the sum by ~1e-4 of it
+        with pytest.raises(NumericalError, match="lost the identity term"):
+            wls_smooth(rng.uniform(0, 1, (8, 8)), rng.uniform(0, 1, (8, 8)), WlsParams(lam=1e12))
+
+    def test_default_lambda_output_is_the_plain_solve(self, rng):
+        stack = rng.uniform(0, 1, (10, 12, 3))
+        guidance = rng.uniform(0, 1, (10, 12))
+        params = WlsParams()
+        system = scipy.sparse.identity(120, format="csr") + params.lam * _guidance_laplacian(guidance, params)
+        factor = scipy.sparse.linalg.splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        plain = factor.solve(stack.reshape(120, 3)).reshape(stack.shape)
+        np.testing.assert_array_equal(wls_smooth(stack, guidance, params), plain)
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ConfigError):
