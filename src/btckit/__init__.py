@@ -62,7 +62,6 @@ from btckit.kbtc import (
     kernel_matrix,
 )
 from btckit.ensemble import (
-    SparseProjection,
     ensemble_classify,
     ensemble_residuals,
     make_sparse_projection,
@@ -71,7 +70,6 @@ from btckit.ensemble import (
     roc_sweep,
 )
 from btckit.spatial import (
-    ResidualCube,
     WlsParams,
     box_smooth,
     build_residual_cube,

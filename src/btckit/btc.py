@@ -9,6 +9,7 @@ by minimizing the average sufficient-identification ratio.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ class BtcParams:
 
     m: int
     alpha: float
-    selection: str = SELECT_MAGNITUDE
 
     def validate(self, n_features: int, n_samples: int) -> None:
         if not 1 <= self.m < n_features:
@@ -83,7 +83,7 @@ def btc_residuals(dictionary: Dictionary, Y: np.ndarray, params: BtcParams) -> n
     m, n_classes = params.m, dictionary.n_classes
     for sl in chunks(Y.shape[0], dictionary.n_samples + m * m):
         Yn, V = _correlations(dictionary, Y[sl], first=sl.start)
-        support = top_m_rows(V, m, mode=params.selection)
+        support = top_m_rows(V, m, mode=SELECT_MAGNITUDE)
         out[sl], _ = gram_residuals(
             gram, labels, n_classes, V, np.ones(len(V)), support, params.alpha, sl.start, (atoms, Yn)
         )
@@ -106,7 +106,7 @@ def btc_classify(
     params.validate(dictionary.n_features, dictionary.n_samples)
     Yn, V = _correlations(dictionary, np.asarray(y, dtype=np.float64)[None, :])
     if support is None:
-        support = top_m_select(V[0], params.m, mode=params.selection)
+        support = top_m_select(V[0], params.m, mode=SELECT_MAGNITUDE)
     else:
         support = np.asarray(support, dtype=np.int64)
     # the core on the support alone: its Gram block, labels and correlations
@@ -152,25 +152,27 @@ def btc_beta_sample(
     from selection; the result is its own-class residual over the best
     rival residual. Values below 1 mean the column is identifiable.
     """
+    col = beta_column(dictionary, class_id, sample_idx, params)
+    return float(beta_profile(dictionary, [params.m], params.alpha, SELECT_MAGNITUDE, cols=[col])[0, 0])
+
+
+def beta_column(dictionary: Dictionary, class_id: int, sample_idx: int, params: BtcParams) -> int:
+    """Dictionary index of a class's ``sample_idx``-th column, once ``params`` suit a beta."""
     if params.m < 2:
         raise ConfigError("beta requires M >= 2")
     params.validate(dictionary.n_features, dictionary.n_samples)
     sl = dictionary.class_slice(class_id)
     if not 0 <= sample_idx < sl.stop - sl.start:
         raise ConfigError(f"sample_idx {sample_idx} out of class {class_id} range")
-    col = [sl.start + sample_idx]
-    return float(beta_profile(dictionary, [params.m], params.alpha, params.selection, cols=col)[0, 0])
+    return sl.start + sample_idx
 
 
 def btc_beta_average(dictionary: Dictionary, m: int, alpha: float) -> float:
     """Mean sufficient-identification ratio over all dictionary columns."""
-    params = BtcParams(m=m, alpha=alpha)
-    params.validate(dictionary.n_features, dictionary.n_samples)
+    BtcParams(m=m, alpha=alpha).validate(dictionary.n_features, dictionary.n_samples)
     if m < 2:
         raise ConfigError("beta requires M >= 2")
-    if dictionary.n_classes < 2:
-        raise ConfigError("beta needs at least 2 classes")
-    return float(beta_profile(dictionary, [m], alpha, params.selection).mean())
+    return float(beta_profile(dictionary, [m], alpha, SELECT_MAGNITUDE).mean())
 
 
 def btc_estimate_threshold(
@@ -191,13 +193,13 @@ def btc_estimate_threshold(
         raise ConfigError("empty M range")
     if ms[0] < 2 or ms[-1] >= b:
         raise ConfigError(f"M range must lie within [2, {b - 1}]")
-    if dictionary.n_classes < 2:
-        raise ConfigError("threshold estimation needs at least 2 classes")
+    return threshold_argmin(ms, beta_profile(dictionary, ms, alpha, SELECT_MAGNITUDE).mean(axis=1))
 
-    averages = beta_profile(dictionary, ms, alpha, SELECT_MAGNITUDE).mean(axis=1)
-    profile = [(m, float(beta)) for m, beta in zip(ms, averages)]
-    best_m = min(profile, key=lambda t: (t[1], t[0]))[0]
-    return best_m, profile
+
+def threshold_argmin(ms: Sequence[int], averages: np.ndarray) -> tuple[int, list[tuple[int, float]]]:
+    """(argmin, profile) of mean ratios per threshold M; the smallest M wins ties."""
+    profile = [(int(m), float(beta)) for m, beta in zip(ms, averages)]
+    return min(profile, key=lambda t: (t[1], t[0]))[0], profile
 
 
 def recover_sparse(A: np.ndarray, y: np.ndarray, m: int, alpha: float) -> np.ndarray:

@@ -111,7 +111,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--train-labels", required=True)
     p.add_argument("--alpha", type=float, default=1e-9)
     p.add_argument("--gamma-grid", default="2^-10..2^1")
-    p.add_argument("--subsample-m", type=int, default=1)
     p.set_defaults(func=_cmd_estimate_kbtc)
 
     p = sub.add_parser("classify-hsi", help="spatial-spectral cube classification")
@@ -294,9 +293,7 @@ def _cmd_estimate_kbtc(args: argparse.Namespace) -> None:
     train, labels = load_dense_dataset(args.train, args.train_labels)
     dictionary = build_dictionary(train, labels, norm_mode=NORM_RANGE)
     grid = _parse_gamma_grid(args.gamma_grid)
-    gamma_hat, m_hat, gamma_profile, m_profile = kbtc_estimate_params(
-        dictionary, args.alpha, grid, subsample_m=args.subsample_m
-    )
+    gamma_hat, m_hat, gamma_profile, m_profile = kbtc_estimate_params(dictionary, args.alpha, grid)
     _write_artifact(
         args,
         "gamma_profile.csv",
@@ -379,6 +376,8 @@ def _load_margins(path: str) -> np.ndarray:
 
 
 def _cmd_roc(args: argparse.Namespace) -> None:
+    if args.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {args.points}")
     valid = _load_margins(args.valid_margins)
     invalid = _load_margins(args.invalid_margins)
     taus = np.linspace(0.0, 1.0, args.points + 2)[1:-1]
@@ -391,6 +390,10 @@ def _cmd_roc(args: argparse.Namespace) -> None:
 
 
 def _cmd_synth_recovery(args: argparse.Namespace) -> None:
+    if not 1 <= args.k <= args.n:
+        raise ConfigError(f"need 1 <= k <= n, got k={args.k}, n={args.n}")
+    if args.b < 1:
+        raise ConfigError(f"--b must be >= 1, got {args.b}")
     rng = np.random.default_rng(args.seed)
     A = rng.standard_normal((args.b, args.n))
     A /= np.linalg.norm(A, axis=0)

@@ -131,6 +131,10 @@ def load_dense_dataset(features_path: str, labels_path: str) -> tuple[np.ndarray
         samples = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
     except ValueError as exc:
         raise DataFormatError(f"{features_path}: non-numeric cell: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(samples))
+    if bad.size:
+        row, col = bad[0]
+        raise DataFormatError(f"{features_path}: non-finite value at sample {row}, column {col}")
 
     labels = []
     with open(labels_path, "r", encoding="utf-8") as fh:
@@ -297,7 +301,7 @@ def save_label_map(label_map: LabelMap, path: str) -> None:
             fh.write(",".join(str(int(v)) for v in row) + "\n")
 
 
-def save_label_map_pgm(label_map: LabelMap, path: str, mapping_path: str | None = None) -> None:
+def save_label_map_pgm(label_map: LabelMap, path: str, mapping_path: str) -> None:
     """Write a class map as plain PGM (P2) plus a class-to-gray mapping file."""
     n = int(label_map.labels.max())
     grays = {0: 0}
@@ -307,10 +311,9 @@ def save_label_map_pgm(label_map: LabelMap, path: str, mapping_path: str | None 
         fh.write(f"P2\n{label_map.width} {label_map.height}\n255\n")
         for row in label_map.labels:
             fh.write(" ".join(str(grays[int(v)]) for v in row) + "\n")
-    if mapping_path:
-        with open(mapping_path, "w", encoding="utf-8") as fh:
-            for cid, g in grays.items():
-                fh.write(f"{cid}={g}\n")
+    with open(mapping_path, "w", encoding="utf-8") as fh:
+        for cid, g in grays.items():
+            fh.write(f"{cid}={g}\n")
 
 
 def split_by_mask(

@@ -9,8 +9,6 @@ margin compares the two smallest fused residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from btckit.btc import BtcParams, ResidualVector, btc_residuals
@@ -18,17 +16,8 @@ from btckit.data import NORM_L2, build_dictionary
 from btckit.errors import ConfigError
 
 
-@dataclass(frozen=True)
-class SparseProjection:
-    """B x m projection with entries in {+sqrt(S), 0, -sqrt(S)} / sqrt(m)."""
-
-    matrix: np.ndarray
-    sparsity: int
-    seed: int
-
-
-def make_sparse_projection(b: int, m: int, s: int, seed: int) -> SparseProjection:
-    """Draw a very sparse random projection, reproducible from the seed.
+def make_sparse_projection(b: int, m: int, s: int, seed: int) -> np.ndarray:
+    """Draw a B x m very sparse random projection, reproducible from the seed.
 
     Entries are +sqrt(S) with probability 1/(2S), -sqrt(S) with probability
     1/(2S), zero otherwise, scaled by 1/sqrt(m).
@@ -41,7 +30,7 @@ def make_sparse_projection(b: int, m: int, s: int, seed: int) -> SparseProjectio
     u = rng.random((b, m))
     root = np.sqrt(float(s))
     entries = np.where(u < 0.5 / s, root, np.where(u < 1.0 / s, -root, 0.0))
-    return SparseProjection(matrix=entries / np.sqrt(m), sparsity=s, seed=seed)
+    return entries / np.sqrt(m)
 
 
 def ensemble_residuals(
@@ -69,8 +58,8 @@ def ensemble_residuals(
     fused = None
     for i in range(1, n_classifiers + 1):
         proj = make_sparse_projection(b, m_dim, s, seed + i)
-        dictionary = build_dictionary(raw_samples @ proj.matrix.T, labels, norm_mode=NORM_L2)
-        residuals = btc_residuals(dictionary, (proj.matrix @ Y_raw.T).T, params)
+        dictionary = build_dictionary(raw_samples @ proj.T, labels, norm_mode=NORM_L2)
+        residuals = btc_residuals(dictionary, (proj @ Y_raw.T).T, params)
         fused = residuals if fused is None else fused + residuals
     return fused / n_classifiers
 

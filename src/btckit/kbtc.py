@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from btckit.btc import ResidualVector, SparseCode
+from btckit.btc import BtcParams, ResidualVector, SparseCode, beta_column, threshold_argmin
 from btckit.data import Dictionary
 from btckit.errors import ConfigError, NumericalError
 from btckit.linalg import (
@@ -60,20 +60,10 @@ class KernelCache:
 
 
 @dataclass(frozen=True)
-class KbtcParams:
+class KbtcParams(BtcParams):
     """Threshold M, regularization alpha, and kernel choice."""
 
-    m: int
-    alpha: float
     spec: KernelSpec
-
-    def validate(self, n_features: int, n_samples: int) -> None:
-        if not 1 <= self.m < n_features:
-            raise ConfigError(f"M={self.m} must satisfy 1 <= M < B={n_features}")
-        if self.m > n_samples:
-            raise ConfigError(f"M={self.m} exceeds sample count {n_samples}")
-        if not 0 < self.alpha < 1:
-            raise ConfigError(f"alpha={self.alpha} must lie in (0, 1)")
 
 
 def kernel_matrix(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -189,48 +179,36 @@ def kbtc_beta_sample(
     cache: KernelCache,
 ) -> float:
     """Kernel sufficient-identification ratio for one training column."""
-    if params.m < 2:
-        raise ConfigError("beta requires M >= 2")
-    params.validate(dictionary.n_features, dictionary.n_samples)
-    if dictionary.n_classes < 2:
-        raise ConfigError("beta needs at least 2 classes")
-    sl = dictionary.class_slice(class_id)
-    if not 0 <= sample_idx < sl.stop - sl.start:
-        raise ConfigError(f"sample_idx {sample_idx} out of class {class_id} range")
+    col = beta_column(dictionary, class_id, sample_idx, params)
     mode = params.spec.selection_mode
-    betas = beta_profile(dictionary, [params.m], params.alpha, mode, cache.gram, [sl.start + sample_idx])
-    return float(betas[0, 0])
+    return float(beta_profile(dictionary, [params.m], params.alpha, mode, cache.gram, [col])[0, 0])
 
 
 def kbtc_gamma_profile(
     dictionary: Dictionary,
     alpha: float,
     gamma_grid: list[float] | np.ndarray | None = None,
-    subsample_m: int = 1,
 ) -> list[tuple[float, float]]:
     """Average identification ratio over all (M, sample) pairs per gamma.
 
     For each grid point, beta is averaged over M = 1..B-1 and all N
     columns with a shared kernel cache. M = 1 leaves an empty support and
-    contributes exactly 1. ``subsample_m`` strides the M loop for large B.
+    contributes exactly 1.
     """
-    if gamma_grid is None:
-        gamma_grid = default_gamma_grid()
-    gammas = [float(g) for g in gamma_grid]
+    gammas, table = _gamma_m_table(dictionary, alpha, gamma_grid)
+    return list(zip(gammas, table.mean(axis=1).tolist()))
+
+
+def _gamma_m_table(
+    dictionary: Dictionary, alpha: float, gamma_grid: list[float] | np.ndarray | None
+) -> tuple[list[float], np.ndarray]:
+    """The grid and its G x (B-1) table: beta averaged over all columns per (gamma, M = 1..B-1)."""
+    gammas = [float(g) for g in (default_gamma_grid() if gamma_grid is None else gamma_grid)]
     if not gammas:
         raise ConfigError("empty gamma grid")
-    if dictionary.n_classes < 2:
-        raise ConfigError("gamma estimation needs at least 2 classes")
-    if subsample_m < 1:
-        raise ConfigError("subsample_m must be >= 1")
-
-    ms = list(range(1, dictionary.n_features, subsample_m))
-    profile = []
-    for gamma in gammas:
-        cache = kernel_cache(dictionary, KernelSpec(kind=KERNEL_RBF, gamma=gamma))
-        betas = beta_profile(dictionary, ms, alpha, cache.spec.selection_mode, cache.gram)
-        profile.append((gamma, float(betas.mean())))
-    return profile
+    ms = range(1, dictionary.n_features)
+    grams = (kernel_cache(dictionary, KernelSpec(gamma=g)).gram for g in gammas)
+    return gammas, np.array([beta_profile(dictionary, ms, alpha, SELECT_RAW, gram).mean(axis=1) for gram in grams])
 
 
 def kbtc_beta_average_m(
@@ -244,25 +222,21 @@ def kbtc_estimate_params(
     dictionary: Dictionary,
     alpha: float,
     gamma_grid: list[float] | np.ndarray | None = None,
-    subsample_m: int = 1,
 ) -> tuple[float, int, list[tuple[float, float]], list[tuple[int, float]]]:
     """Two-stage estimation: gamma from the grid, then M at the chosen gamma.
 
-    Returns (gamma_hat, m_hat, gamma_profile, m_profile). The first grid
-    point attaining the minimum wins for gamma; the smallest M wins on M
-    ties.
+    Returns (gamma_hat, m_hat, gamma_profile, m_profile). The gamma search
+    already averages beta per M at every grid point, so the M profile
+    (M = 2..B-1) is the chosen gamma's row of it. The first grid point
+    attaining the minimum wins for gamma; the smallest M wins on M ties.
     """
-    gamma_profile = kbtc_gamma_profile(dictionary, alpha, gamma_grid, subsample_m)
-    gamma_hat = min(gamma_profile, key=lambda t: t[1])[0]
-
-    ms = list(range(2, dictionary.n_features))
-    if not ms:
+    if dictionary.n_features < 3:
         raise ConfigError("feature dimension too small to estimate M")
-    cache = kernel_cache(dictionary, KernelSpec(kind=KERNEL_RBF, gamma=gamma_hat))
-    averages = beta_profile(dictionary, ms, alpha, SELECT_RAW, cache.gram).mean(axis=1)
-    m_profile = [(m, float(beta)) for m, beta in zip(ms, averages)]
-    m_hat = min(m_profile, key=lambda t: (t[1], t[0]))[0]
-    return gamma_hat, m_hat, gamma_profile, m_profile
+    gammas, table = _gamma_m_table(dictionary, alpha, gamma_grid)
+    means = table.mean(axis=1)
+    best = int(np.argmin(means))
+    m_hat, m_profile = threshold_argmin(range(2, dictionary.n_features), table[best, 1:])
+    return gammas[best], m_hat, list(zip(gammas, means.tolist())), m_profile
 
 
 def default_gamma_grid() -> list[float]:

@@ -262,7 +262,9 @@ def beta_profile(
     """
     n_classes, col_labels = dictionary.n_classes, dictionary.column_labels()
     if n_classes < 2:
-        raise ConfigError("beta needs a competing class")
+        raise ConfigError("beta needs at least 2 classes")
+    if not 0 < alpha < 1:
+        raise ConfigError(f"alpha={alpha} must lie in (0, 1)")
     ks = np.array([int(m) - 1 for m in ms], dtype=np.int64)
     if not ks.size or ks.min() < 0:
         raise ConfigError(f"beta needs thresholds M >= 1, got {list(ms)}")

@@ -29,18 +29,6 @@ WLS_SUM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class ResidualCube:
-    """Height x width x C stack of per-class residual maps."""
-
-    values: np.ndarray
-    normalized: bool
-
-    @property
-    def n_classes(self) -> int:
-        return self.values.shape[2]
-
-
-@dataclass(frozen=True)
 class WlsParams:
     """Smoothing degree lambda, gradient exponent, and gradient floor."""
 
@@ -60,8 +48,8 @@ def build_residual_cube(
     dictionary: Dictionary,
     params: BtcParams | KbtcParams,
     cache: KernelCache | None = None,
-) -> tuple[ResidualCube, LabelMap]:
-    """Classify every pixel and stack the residual vectors into a cube.
+) -> tuple[np.ndarray, LabelMap]:
+    """Classify every pixel and stack the residual vectors into an H x W x C cube.
 
     BTC is used for :class:`BtcParams`, KBTC for :class:`KbtcParams` (the
     kernel cache is built on demand); the whole cube goes through one batch
@@ -86,20 +74,17 @@ def build_residual_cube(
         raise NumericalError(f"pixel ({r},{c}): {exc.args[0]}") from exc
     # np.argmin returns the first minimum: lowest class id on ties
     classmap = np.argmin(flat, axis=1).reshape(h, w) + 1
-    return (
-        ResidualCube(values=min_max(flat.reshape(h, w, dictionary.n_classes)), normalized=True),
-        LabelMap(height=h, width=w, labels=classmap),
-    )
+    residuals = min_max(flat.reshape(h, w, dictionary.n_classes))
+    return residuals, LabelMap(height=h, width=w, labels=classmap)
 
 
-def mask_by_classmap(cube: ResidualCube, classmap: LabelMap) -> ResidualCube:
-    """Set layer i to the maximum residual 1 wherever the pixel label is not i."""
-    if not cube.normalized:
-        raise ConfigError("mask_by_classmap requires a normalized cube")
-    if classmap.labels.shape != cube.values.shape[:2]:
+def mask_by_classmap(residuals: np.ndarray, classmap: LabelMap) -> np.ndarray:
+    """Set layer i of a normalized H x W x C cube to the maximum residual 1
+    wherever the pixel label is not i."""
+    if classmap.labels.shape != residuals.shape[:2]:
         raise ConfigError("class map dims do not match cube")
-    own = classmap.labels[:, :, None] == np.arange(1, cube.n_classes + 1)
-    return ResidualCube(values=np.where(own, cube.values, 1.0), normalized=True)
+    own = classmap.labels[:, :, None] == np.arange(1, residuals.shape[2] + 1)
+    return np.where(own, residuals, 1.0)
 
 
 def box_smooth(image: np.ndarray, window: int) -> np.ndarray:
@@ -183,10 +168,10 @@ def _guidance_laplacian(guidance: np.ndarray, params: WlsParams) -> scipy.sparse
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(h * w, h * w))
 
 
-def decide_from_cube(cube: ResidualCube) -> LabelMap:
-    """Per-pixel argmin over layers; ties resolve to the lowest class id."""
-    labels = np.argmin(cube.values, axis=2).astype(np.int64) + 1
-    return LabelMap(height=cube.values.shape[0], width=cube.values.shape[1], labels=labels)
+def decide_from_cube(residuals: np.ndarray) -> LabelMap:
+    """Per-pixel argmin over the layers of an H x W x C cube; ties resolve to the lowest class id."""
+    labels = np.argmin(residuals, axis=2).astype(np.int64) + 1
+    return LabelMap(height=residuals.shape[0], width=residuals.shape[1], labels=labels)
 
 
 def spatial_spectral_classify(
@@ -196,30 +181,22 @@ def spatial_spectral_classify(
     smoothing: str = "wls",
     window: int = 5,
     wls_params: WlsParams | None = None,
-    guidance: np.ndarray | None = None,
-    mask: bool = True,
-    cache: KernelCache | None = None,
 ) -> tuple[LabelMap, LabelMap]:
     """Full pipeline: residual cube, masking, smoothing, final decision.
 
-    ``smoothing`` is one of none/box/wls. For WLS the guidance image
-    defaults to the first principal component of the cube. Returns
-    (smoothed class map, pixel-wise class map).
+    ``smoothing`` is one of none/box/wls. WLS is guided by the first
+    principal component of the cube. Returns (smoothed class map,
+    pixel-wise class map).
     """
-    residual_cube, pixelwise = build_residual_cube(cube, dictionary, params, cache=cache)
-    if mask:
-        residual_cube = mask_by_classmap(residual_cube, pixelwise)
+    residuals, pixelwise = build_residual_cube(cube, dictionary, params)
+    residuals = mask_by_classmap(residuals, pixelwise)
 
     if smoothing == "none":
-        smoothed = residual_cube.values
+        smoothed = residuals
     elif smoothing == "box":
-        smoothed = box_smooth(residual_cube.values, window)
+        smoothed = box_smooth(residuals, window)
     elif smoothing == "wls":
-        if guidance is None:
-            guidance = pca_first_component(cube)
-        smoothed = wls_smooth(residual_cube.values, guidance, wls_params or WlsParams())
+        smoothed = wls_smooth(residuals, pca_first_component(cube), wls_params or WlsParams())
     else:
         raise ConfigError(f"unknown smoothing {smoothing!r}")
-
-    final = decide_from_cube(ResidualCube(values=smoothed, normalized=residual_cube.normalized))
-    return final, pixelwise
+    return decide_from_cube(smoothed), pixelwise

@@ -213,6 +213,47 @@ class TestEstimateCommands:
         assert (out / "m_profile.csv").exists()
 
 
+    @pytest.mark.parametrize(
+        "command, alpha",
+        [("estimate-btc", "nan"), ("estimate-btc", "0"), ("estimate-kbtc", "5")],
+    )
+    def test_alpha_outside_unit_interval_exit_code(self, tmp_path, command, alpha):
+        x, y = make_blobs(6, 2, 5, 3, 0.4)
+        tr_x, tr_y = _write_dense(tmp_path, "tr", x, y)
+        rc = main([
+            command, "--train", tr_x, "--train-labels", tr_y, "--alpha", alpha,
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+
+
+class TestNonFiniteCells:
+    @pytest.mark.parametrize(
+        "command, corrupt, value",
+        [
+            (["classify", "--m", "6"], "test", "nan"),
+            (["classify", "--m", "6", "--classifier", "kbtc"], "train", "inf"),
+            (["estimate-btc"], "train", "inf"),
+            (["coherence"], "train", "-inf"),
+        ],
+    )
+    def test_exit_code_names_the_cell(self, blob_files, tmp_path, capsys, command, corrupt, value):
+        (tr_x, tr_y), (te_x, te_y) = blob_files
+        path = tr_x if corrupt == "train" else te_x
+        with open(path) as fh:
+            rows = fh.read().splitlines()
+        cells = rows[3].split(",")
+        cells[2] = value
+        rows[3] = ",".join(cells)
+        with open(path, "w") as fh:
+            fh.write("\n".join(rows) + "\n")
+        args = command + ["--train", tr_x, "--train-labels", tr_y, "--output-dir", str(tmp_path / "out")]
+        if command[0] == "classify":
+            args += ["--test", te_x, "--test-labels", te_y]
+        assert main(args) == 3
+        assert "non-finite value at sample 3, column 2" in capsys.readouterr().err
+
+
 def _hsi_files(tmp_path):
     cube, gt = make_blocky_scene(seed=4, sigma=0.4, h=20, w=20, bands=8)
     mask = make_train_mask(gt, 10, seed=104)
@@ -299,6 +340,24 @@ class TestOtherCommands:
             "--invalid-margins", str(tmp_path / "invalid.txt"), "--output-dir", str(tmp_path),
         ])
         assert rc == 3
+
+    @pytest.mark.parametrize("points", ["-5", "0"])
+    def test_roc_points_below_one_exit_code(self, tmp_path, points):
+        (tmp_path / "valid.txt").write_text("0.9\n")
+        (tmp_path / "invalid.txt").write_text("0.1\n")
+        rc = main([
+            "roc", "--valid-margins", str(tmp_path / "valid.txt"),
+            "--invalid-margins", str(tmp_path / "invalid.txt"),
+            "--points", points, "--output-dir", str(tmp_path / "roc"),
+        ])
+        assert rc == 2
+        assert not (tmp_path / "roc").exists()
+
+    @pytest.mark.parametrize("flags", [["--k", "600"], ["--k", "-1"], ["--n", "0"], ["--b", "0"]])
+    def test_synth_recovery_bad_sizes_exit_code(self, tmp_path, flags):
+        rc = main(["synth-recovery", *flags, "--output-dir", str(tmp_path / "rec")])
+        assert rc == 2
+        assert not (tmp_path / "rec").exists()
 
     def test_synth_recovery_command(self, tmp_path, capsys):
         out = tmp_path / "rec"

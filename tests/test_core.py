@@ -34,7 +34,7 @@ from btckit import (
 from btckit import linalg
 from btckit.linalg import beta_profile, gram_residuals, top_m_rows
 from btckit.data import NORM_L2, NORM_RANGE
-from btckit.errors import NumericalError
+from btckit.errors import ConfigError, NumericalError
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -415,6 +415,12 @@ class TestBetaProfile:
         first = int(np.flatnonzero((ranked == atom).any(axis=1))[0])
         with _tiny_chunks(), pytest.raises(NumericalError, match=f"sample {first}:"):
             beta_profile(d, ms, 0.01, linalg.SELECT_MAGNITUDE, gram)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, -0.01, np.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        _, d, _ = _problem(8, 6, 5, 3, 4)
+        with pytest.raises(ConfigError, match="alpha"):
+            beta_profile(d, [2], alpha, linalg.SELECT_MAGNITUDE)
 
     def test_radicand_below_floor_raises(self):
         # |K(a0, a1)| = 10 > sqrt(K(a0, a0) K(a1, a1)) breaks Cauchy-Schwarz: the radicand is about -99

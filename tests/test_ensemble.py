@@ -22,29 +22,29 @@ from tests.conftest import make_blobs
 class TestMakeSparseProjection:
     def test_sparsity_one_has_no_zeros(self):
         proj = make_sparse_projection(10, 50, 1, seed=0)
-        np.testing.assert_allclose(np.abs(proj.matrix), 1.0 / np.sqrt(50))
+        np.testing.assert_allclose(np.abs(proj), 1.0 / np.sqrt(50))
 
     def test_zero_fraction_within_binomial_bound(self):
         proj = make_sparse_projection(120, 10000, 100, seed=1)
-        frac = np.mean(proj.matrix == 0.0)
+        frac = np.mean(proj == 0.0)
         assert 0.9888 <= frac <= 0.9912
 
     def test_deterministic_from_seed(self):
         a = make_sparse_projection(8, 40, 3, seed=9)
         b = make_sparse_projection(8, 40, 3, seed=9)
-        np.testing.assert_array_equal(a.matrix, b.matrix)
+        np.testing.assert_array_equal(a, b)
 
     def test_three_point_values_only(self):
         proj = make_sparse_projection(20, 200, 3, seed=2)
-        scaled = proj.matrix * np.sqrt(200)
+        scaled = proj * np.sqrt(200)
         allowed = {0.0, np.sqrt(3.0), -np.sqrt(3.0)}
         assert set(np.round(np.unique(scaled), 12)) <= {round(v, 12) for v in allowed}
 
     def test_plus_minus_balance(self):
         proj = make_sparse_projection(100, 1000, 2, seed=3)
-        pos = np.sum(proj.matrix > 0)
-        neg = np.sum(proj.matrix < 0)
-        total = proj.matrix.size
+        pos = np.sum(proj > 0)
+        neg = np.sum(proj < 0)
+        total = proj.size
         # each sign has probability 1/(2S) = 0.25
         assert abs(pos / total - 0.25) < 0.005
         assert abs(neg / total - 0.25) < 0.005
@@ -64,8 +64,8 @@ class TestEnsembleClassify:
         params = BtcParams(m=6, alpha=0.01)
         cid, fused = ensemble_classify(x, y, sample, 1, params, 20, 3, seed=5)
         proj = make_sparse_projection(20, 60, 3, seed=6)  # member i=1 uses seed+1
-        d = build_dictionary(x @ proj.matrix.T, y)
-        res, _ = btc_classify(d, proj.matrix @ sample, params)
+        d = build_dictionary(x @ proj.T, y)
+        res, _ = btc_classify(d, proj @ sample, params)
         np.testing.assert_array_equal(fused.values, res.values)
         assert cid == res.predicted_class
 
@@ -78,8 +78,8 @@ class TestEnsembleClassify:
         members = []
         for i in range(1, n + 1):
             proj = make_sparse_projection(20, 60, 3, seed=11 + i)
-            d = build_dictionary(x @ proj.matrix.T, y)
-            res, _ = btc_classify(d, proj.matrix @ sample, params)
+            d = build_dictionary(x @ proj.T, y)
+            res, _ = btc_classify(d, proj @ sample, params)
             members.append(res.values)
         np.testing.assert_allclose(fused.values, np.mean(members, axis=0), atol=1e-15)
 
@@ -103,7 +103,7 @@ class TestEnsembleClassify:
         rng = default_rng(41)
         points = rng.normal(size=(100, 500))
         proj = make_sparse_projection(120, 500, 3, seed=77)
-        projected = points @ proj.matrix.T
+        projected = points @ proj.T
         # the 1/sqrt(m) scaling contracts squared distances by B/m in
         # expectation; check concentration around that factor
         scale = 120 / 500

@@ -20,8 +20,10 @@ from btckit import (
     kernel_cache,
     kernel_matrix,
 )
+from btckit import kbtc
 from btckit.data import NORM_L2, NORM_RANGE
 from btckit.errors import ConfigError
+from btckit.linalg import SELECT_RAW, beta_profile
 from tests.conftest import make_rings, random_dictionary
 
 
@@ -332,6 +334,30 @@ class TestEstimation:
         for m, beta in m_prof:
             assert beta == pytest.approx(kbtc_beta_average_m(d, cache, m, 1e-6), abs=1e-10)
         assert m_hat == min(m_prof, key=lambda t: (t[1], t[0]))[0]
+
+    def test_one_kernel_gram_per_grid_point(self, monkeypatch):
+        d = TestKbtcBeta()._clustered()
+        built = []
+        real = kbtc.kernel_cache
+
+        def counting(dictionary, spec):
+            built.append(spec.gamma)
+            return real(dictionary, spec)
+
+        monkeypatch.setattr(kbtc, "kernel_cache", counting)
+        grid = [0.1, 1.0, 10.0]
+        kbtc_estimate_params(d, 1e-6, gamma_grid=grid)
+        assert built == grid
+
+    def test_m_profile_equals_beta_profile_at_gamma_hat(self):
+        rng = default_rng(34)
+        d = build_dictionary(rng.normal(size=(18, 7)), [1] * 6 + [2] * 6 + [3] * 6, NORM_RANGE)
+        gamma_hat, _, _, m_prof = kbtc_estimate_params(d, 1e-6, gamma_grid=[0.1, 1.0, 10.0])
+        ms = list(range(2, d.n_features))
+        gram = kernel_cache(d, KernelSpec(kind="rbf", gamma=gamma_hat)).gram
+        ref = beta_profile(d, ms, 1e-6, SELECT_RAW, gram).mean(axis=1)
+        assert [m for m, _ in m_prof] == ms
+        np.testing.assert_allclose([b for _, b in m_prof], ref, rtol=0, atol=1e-12)
 
     def test_m_equal_one_contributes_exactly_one(self):
         rng = default_rng(33)

@@ -10,7 +10,6 @@ from btckit import (
     BtcParams,
     HsiCube,
     LabelMap,
-    ResidualCube,
     WlsParams,
     box_smooth,
     btc_classify,
@@ -50,7 +49,7 @@ class TestBuildResidualCube:
         res, _ = btc_classify(d, one.values[0, 0], params)
         v = res.values
         expected = (v - v.min()) / (v.max() - v.min())
-        np.testing.assert_allclose(rc.values[0, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(rc[0, 0], expected, atol=1e-12)
         assert classmap.labels[0, 0] == res.predicted_class
 
     def test_constant_cube_is_piecewise_constant(self):
@@ -58,9 +57,7 @@ class TestBuildResidualCube:
         values = np.tile(np.linspace(0.3, 0.9, 6), (3, 3, 1))
         cube = HsiCube(height=3, width=3, bands=6, values=values)
         rc, classmap = build_residual_cube(cube, d, BtcParams(m=3, alpha=1e-4))
-        np.testing.assert_allclose(
-            rc.values, np.broadcast_to(rc.values[0, 0], rc.values.shape), atol=1e-12
-        )
+        np.testing.assert_allclose(rc, np.broadcast_to(rc[0, 0], rc.shape), atol=1e-12)
         assert len(np.unique(classmap.labels)) == 1
 
     def test_matches_per_pixel_loop_oracle(self):
@@ -74,54 +71,50 @@ class TestBuildResidualCube:
                 raw[r, c] = res.values
                 assert classmap.labels[r, c] == res.predicted_class
         expected = (raw - raw.min()) / (raw.max() - raw.min())
-        np.testing.assert_allclose(rc.values, expected, atol=1e-12)
-        assert rc.normalized
-        assert rc.values.min() == 0.0 and rc.values.max() == 1.0
+        np.testing.assert_allclose(rc, expected, atol=1e-12)
+        assert rc.min() == 0.0 and rc.max() == 1.0
 
     def test_global_normalization(self):
         cube, _, d = _two_class_setup()
         params = BtcParams(m=3, alpha=1e-4)
         rc, _ = build_residual_cube(cube, d, params)
-        raw = btc_residuals(d, cube.values.reshape(-1, cube.bands), params).reshape(rc.values.shape)
-        assert rc.values.min() == 0.0 and rc.values.max() == 1.0
-        np.testing.assert_array_equal(np.argmin(rc.values, axis=2), np.argmin(raw, axis=2))
+        raw = btc_residuals(d, cube.values.reshape(-1, cube.bands), params).reshape(rc.shape)
+        assert rc.min() == 0.0 and rc.max() == 1.0
+        np.testing.assert_array_equal(np.argmin(rc, axis=2), np.argmin(raw, axis=2))
         # one scale for the whole cube: a layer keeps its range relative to the others
-        spans = [np.ptp(rc.values[:, :, k]) / np.ptp(raw[:, :, k]) for k in range(rc.n_classes)]
-        assert spans == pytest.approx([1 / np.ptp(raw)] * rc.n_classes, rel=1e-12)
+        spans = [np.ptp(rc[:, :, k]) / np.ptp(raw[:, :, k]) for k in range(rc.shape[2])]
+        assert spans == pytest.approx([1 / np.ptp(raw)] * rc.shape[2], rel=1e-12)
 
 
 class TestMaskByClassmap:
     def test_single_pixel_masking(self):
         values = np.array([[[0.2, 0.3, 0.4]]])
-        cube = ResidualCube(values=values, normalized=True)
         classmap = LabelMap(1, 1, np.array([[2]]))
-        masked = mask_by_classmap(cube, classmap)
-        np.testing.assert_allclose(masked.values[0, 0], [1.0, 0.3, 1.0])
+        masked = mask_by_classmap(values, classmap)
+        np.testing.assert_allclose(masked[0, 0], [1.0, 0.3, 1.0])
 
     def test_uniform_map_saturates_other_layers(self, rng):
         values = rng.uniform(0, 0.5, (4, 4, 3))
-        cube = ResidualCube(values=values, normalized=True)
         classmap = LabelMap(4, 4, np.ones((4, 4), dtype=np.int64))
-        masked = mask_by_classmap(cube, classmap)
-        np.testing.assert_allclose(masked.values[:, :, 1], 1.0)
-        np.testing.assert_allclose(masked.values[:, :, 2], 1.0)
-        np.testing.assert_allclose(masked.values[:, :, 0], values[:, :, 0])
+        masked = mask_by_classmap(values, classmap)
+        np.testing.assert_allclose(masked[:, :, 1], 1.0)
+        np.testing.assert_allclose(masked[:, :, 2], 1.0)
+        np.testing.assert_allclose(masked[:, :, 0], values[:, :, 0])
 
     def test_matches_elementwise_oracle_and_never_decreases(self, rng):
         values = rng.uniform(0, 1, (5, 6, 4))
-        cube = ResidualCube(values=values, normalized=True)
         labels = rng.integers(1, 5, (5, 6))
-        masked = mask_by_classmap(cube, LabelMap(5, 6, labels))
+        masked = mask_by_classmap(values, LabelMap(5, 6, labels))
         expected = np.empty_like(values)
         for r in range(5):
             for c in range(6):
                 for k in range(4):
                     expected[r, c, k] = values[r, c, k] if labels[r, c] == k + 1 else 1.0
-        np.testing.assert_array_equal(masked.values, expected)
-        assert np.all(masked.values >= values - 1e-15)
+        np.testing.assert_array_equal(masked, expected)
+        assert np.all(masked >= values - 1e-15)
 
     def test_dim_mismatch_rejected(self, rng):
-        cube = ResidualCube(values=rng.uniform(0, 1, (3, 3, 2)), normalized=True)
+        cube = rng.uniform(0, 1, (3, 3, 2))
         with pytest.raises(ConfigError):
             mask_by_classmap(cube, LabelMap(2, 2, np.ones((2, 2), dtype=np.int64)))
 
@@ -259,17 +252,17 @@ class TestWlsSmooth:
 
 class TestDecideFromCube:
     def test_single_layer_all_class_one(self, rng):
-        cube = ResidualCube(values=rng.uniform(0, 1, (3, 3, 1)), normalized=True)
+        cube = rng.uniform(0, 1, (3, 3, 1))
         np.testing.assert_array_equal(decide_from_cube(cube).labels, 1)
 
     def test_pixel_argmin(self):
-        cube = ResidualCube(values=np.array([[[0.2, 0.1, 0.9]]]), normalized=True)
+        cube = np.array([[[0.2, 0.1, 0.9]]])
         assert decide_from_cube(cube).labels[0, 0] == 2
 
     def test_matches_elementwise_oracle_with_tie_rule(self, rng):
         values = rng.uniform(0, 1, (4, 4, 3))
         values[0, 0] = [0.5, 0.5, 0.9]  # tie -> lowest class id
-        labels = decide_from_cube(ResidualCube(values=values, normalized=True)).labels
+        labels = decide_from_cube(values).labels
         assert labels[0, 0] == 1
         for r in range(4):
             for c in range(4):
@@ -280,9 +273,9 @@ class TestPipeline:
     def test_unsmoothed_unmasked_reproduces_pixelwise(self):
         cube, _, d = _two_class_setup()
         params = BtcParams(m=3, alpha=1e-4)
-        final, pixelwise = spatial_spectral_classify(
-            cube, d, params, smoothing="box", window=1, mask=False
-        )
+        # masking keeps each pixel's own layer, so with identity smoothing
+        # the argmin is still the pixel-wise one
+        final, pixelwise = spatial_spectral_classify(cube, d, params, smoothing="box", window=1)
         np.testing.assert_array_equal(final.labels, pixelwise.labels)
 
     def test_spatial_never_hurts_on_blocky_scene(self):
