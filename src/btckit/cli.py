@@ -311,7 +311,7 @@ def _cmd_classify_hsi(args: argparse.Namespace) -> None:
     cube = load_hsi_cube(args.cube_header, args.cube_raw)
     gt = load_label_map(args.gt)
     mask = load_label_map(args.train_mask)
-    train, train_labels, _test, test_labels, test_coords = split_by_mask(cube, gt, mask)
+    train, train_labels, test_labels, test_rc = split_by_mask(cube, gt, mask)
     start = time.perf_counter()
 
     if args.classifier == "btc":
@@ -339,7 +339,7 @@ def _cmd_classify_hsi(args: argparse.Namespace) -> None:
         _write_sidecar(args, pgm_path)
 
     # scored on the test pixels only: labeled and outside the training mask
-    rows, cols = np.asarray(test_coords, dtype=np.int64).reshape(-1, 2).T
+    rows, cols = test_rc.T
     for name, label_map in (("pixelwise", pixelwise), ("smoothed", final)):
         report = evaluate(
             label_map.labels[rows, cols],

@@ -297,36 +297,34 @@ def load_label_map(path: str) -> LabelMap:
 
 def save_label_map(label_map: LabelMap, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for row in label_map.labels:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+        rows = label_map.labels.astype(np.int64, copy=False).tolist()
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def save_label_map_pgm(label_map: LabelMap, path: str, mapping_path: str) -> None:
     """Write a class map as plain PGM (P2) plus a class-to-gray mapping file."""
     n = int(label_map.labels.max())
-    grays = {0: 0}
-    for cid in range(1, n + 1):
-        grays[cid] = int(round(255 * cid / max(n, 1)))
+    grays = np.array([0] + [int(round(255 * cid / max(n, 1))) for cid in range(1, n + 1)])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"P2\n{label_map.width} {label_map.height}\n255\n")
-        for row in label_map.labels:
-            fh.write(" ".join(str(grays[int(v)]) for v in row) + "\n")
+        fh.writelines(" ".join(map(str, row)) + "\n" for row in grays[label_map.labels].tolist())
     with open(mapping_path, "w", encoding="utf-8") as fh:
-        for cid, g in grays.items():
-            fh.write(f"{cid}={g}\n")
+        fh.writelines(f"{cid}={g}\n" for cid, g in enumerate(grays.tolist()))
 
 
 def split_by_mask(
     cube: HsiCube,
     gt: LabelMap,
     train_mask: LabelMap,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Split cube pixels into training and test sets by a label mask.
 
     Training pixels are those with ``train_mask > 0``; test pixels are the
     remaining labeled ground-truth pixels. Returns (train_samples,
-    train_labels, test_samples, test_labels, test_coords) with samples in
-    row form.
+    train_labels, test_labels, test_rc): training samples in row form, and
+    the test pixels' (row, column) coordinates as an (n, 2) int64 array in
+    row-major order. Test samples are not gathered; ``cube.values`` at
+    ``test_rc`` holds them.
     """
     if (gt.height, gt.width) != (cube.height, cube.width):
         raise DataFormatError("ground truth dims do not match cube")
@@ -344,7 +342,6 @@ def split_by_mask(
     test_rc = np.argwhere((gt.labels > 0) & (train_mask.labels == 0))
     train_samples = cube.values[train_rc[:, 0], train_rc[:, 1]]
     train_labels = gt.labels[train_rc[:, 0], train_rc[:, 1]]
-    test_samples = cube.values[test_rc[:, 0], test_rc[:, 1]]
     test_labels = gt.labels[test_rc[:, 0], test_rc[:, 1]]
 
     present = set(np.unique(gt.labels[gt.labels > 0]).tolist())
@@ -353,8 +350,7 @@ def split_by_mask(
     if missing:
         raise DataFormatError(f"classes with zero training pixels: {sorted(missing)}")
 
-    coords = [(int(r), int(c)) for r, c in test_rc]
-    return train_samples, train_labels, test_samples, test_labels, coords
+    return train_samples, train_labels, test_labels, test_rc
 
 
 def render_block_mask(gt: LabelMap, blocks: list[tuple[int, int, int, int, int]]) -> LabelMap:

@@ -179,6 +179,7 @@ def kbtc_beta_sample(
     cache: KernelCache,
 ) -> float:
     """Kernel sufficient-identification ratio for one training column."""
+    _check(dictionary, params, cache)
     col = beta_column(dictionary, class_id, sample_idx, params)
     mode = params.spec.selection_mode
     return float(beta_profile(dictionary, [params.m], params.alpha, mode, cache.gram, [col])[0, 0])

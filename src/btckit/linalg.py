@@ -45,7 +45,8 @@ def solve_spd_regularized(G: np.ndarray, b: np.ndarray, alpha: float) -> np.ndar
 
     Every G + alpha*I must pass a Cholesky factorization; otherwise the
     NumericalError's ``sample`` is the first failing system of the stack.
-    No explicit inverse is formed.
+    The solution comes from that factor by forward and back substitution;
+    no explicit inverse is formed.
     """
     G = np.asarray(G, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -55,9 +56,17 @@ def solve_spd_regularized(G: np.ndarray, b: np.ndarray, alpha: float) -> np.ndar
         raise ConfigError(f"b shape {b.shape} does not match G shape {G.shape}")
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
-    system = G + alpha * np.eye(G.shape[-1])
-    _cholesky(system)
-    return np.linalg.solve(system, b[..., None])[..., 0]
+    L = _cholesky(G + alpha * np.eye(G.shape[-1]))
+    # L z = b forward, then L'x = z backward, one row of every system per step;
+    # NumPy has no batched triangular solve, and mixing SciPy's LAPACK with
+    # NumPy's thrashes their thread pools
+    diag = np.diagonal(L, axis1=-2, axis2=-1)
+    x = np.empty_like(b)
+    for i in range(L.shape[-1]):
+        x[..., i] = (b[..., i] - np.vecdot(L[..., i, :i], x[..., :i])) / diag[..., i]
+    for i in reversed(range(L.shape[-1])):
+        x[..., i] = (x[..., i] - np.vecdot(L[..., i + 1 :, i], x[..., i + 1 :])) / diag[..., i]
+    return x
 
 
 def _cholesky(system: np.ndarray) -> np.ndarray:
@@ -232,15 +241,26 @@ def _feature_residuals(
     n_classes: int,
     kyy: np.ndarray,
 ) -> np.ndarray:
-    """||y - A_j x_j|| per row y of Y and class j with support atoms; sqrt(K(y,y)) otherwise."""
+    """||y - A_j x_j|| per row y of Y and class j with support atoms; sqrt(K(y,y)) otherwise.
+
+    Only the classes present in a row's support are reconstructed: each atom
+    takes its class's slot among the row's distinct classes, so a chunk's
+    batched GEMM has one row per slot, up to its largest distinct count.
+    """
     out = np.repeat(np.sqrt(kyy)[:, None], n_classes, axis=1)
-    classes = np.arange(n_classes)[:, None]
-    for sl in chunks(len(Y), (n_classes + support.shape[1]) * atoms.shape[1]):
-        mine = labels[sl, None, :] == classes
-        # x_i at [row, class(i), i]: every class reconstruction A_j x_j in one batched GEMM
-        recon = np.matmul(np.where(mine, x[sl, None, :], 0.0), atoms[support[sl]])
+    k = support.shape[1]
+    for sl in chunks(len(Y), (min(k, n_classes) + k) * atoms.shape[1]):
+        rows = np.arange(sl.stop - sl.start)[:, None]
+        present = np.zeros((rows.size, n_classes), dtype=bool)
+        present[rows, labels[sl]] = True
+        slot = np.cumsum(present, axis=1) - 1
+        # x_i at [row, slot of class(i), i]: the present classes' A_j x_j in one batched GEMM
+        coef = np.zeros((rows.size, int(present.sum(axis=1).max()), k))
+        coef[rows, slot[rows, labels[sl]], np.arange(k)] = x[sl]
+        recon = np.matmul(coef, atoms[support[sl]])
         recon -= Y[sl, None, :]
-        out[sl] = np.where(mine.any(axis=2), np.linalg.norm(recon, axis=2), out[sl])
+        i, c = np.nonzero(present)
+        out[sl][i, c] = np.sqrt(np.einsum("ijk,ijk->ij", recon, recon))[i, slot[i, c]]
     return out
 
 
@@ -310,15 +330,24 @@ def pca_first_component(cube: HsiCube) -> np.ndarray:
     The component is the top eigenvector of the band covariance
     (``np.linalg.eigh``); its sign is fixed so the component correlates
     non-negatively with the band-mean image. A constant cube gives zeros.
+    The cube is read in blocks of image rows from :func:`chunks`, so no
+    centered copy of it is formed and the work memory stays bounded.
     """
     h, w, b = cube.height, cube.width, cube.bands
-    X = cube.values.reshape(h * w, b)
-    Xc = X - X.mean(axis=0)
-    _, vecs = np.linalg.eigh(Xc.T @ Xc / max(h * w - 1, 1))
-    score = Xc @ vecs[:, -1]
-    if float(score @ Xc.mean(axis=1)) < 0:
-        score = -score
-    return min_max(score).reshape(h, w)
+    blocks = list(chunks(h, w * b))
+    mean = sum(cube.values[sl].reshape(-1, b).sum(axis=0) for sl in blocks) / (h * w)
+    cov = np.zeros((b, b))
+    for sl in blocks:
+        Xc = cube.values[sl].reshape(-1, b) - mean
+        cov += Xc.T @ Xc
+    _, vecs = np.linalg.eigh(cov / max(h * w - 1, 1))
+    score = np.empty((h, w))
+    sign = 0.0
+    for sl in blocks:
+        Xc = cube.values[sl].reshape(-1, b) - mean
+        score[sl] = (Xc @ vecs[:, -1]).reshape(-1, w)
+        sign += float(score[sl].ravel() @ Xc.mean(axis=1))
+    return min_max(-score if sign < 0 else score)
 
 
 def min_max(v: np.ndarray) -> np.ndarray:

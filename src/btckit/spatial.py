@@ -10,11 +10,9 @@ the smoothed residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.ndimage
-import scipy.sparse
-import scipy.sparse.linalg
 
 # btc_classify stays bound here: the benchmark's tracer test looks it up in this module
 from btckit.btc import BtcParams, btc_classify, btc_residuals  # noqa: F401
@@ -22,6 +20,11 @@ from btckit.data import Dictionary, HsiCube, LabelMap
 from btckit.errors import BtckitError, ConfigError, NumericalError
 from btckit.kbtc import KbtcParams, KernelCache, kbtc_residuals, kernel_cache
 from btckit.linalg import min_max, pca_first_component
+
+# SciPy is imported by the smoothing that uses it, so the commands and the
+# unsmoothed pipeline run on NumPy alone
+if TYPE_CHECKING:
+    import scipy.sparse
 
 # Largest drift of a smoothed layer's sum, relative to the layer's absolute
 # sum, that wls_smooth accepts as rounding
@@ -95,6 +98,8 @@ def box_smooth(image: np.ndarray, window: int) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
     if window == 1:
         return image.copy()
+    import scipy.ndimage
+
     size = (window, window) + (1,) * (image.ndim - 2)
     return scipy.ndimage.uniform_filter(image, size=size, mode="nearest")
 
@@ -117,6 +122,8 @@ def wls_smooth(
         raise ConfigError("guidance image has non-finite values")
     if params.lam == 0:
         return image.copy()
+    import scipy.sparse
+    import scipy.sparse.linalg
 
     h, w = guidance.shape
     system = scipy.sparse.identity(h * w, format="csr") + params.lam * _guidance_laplacian(
@@ -143,6 +150,8 @@ def wls_smooth(
 
 
 def _guidance_laplacian(guidance: np.ndarray, params: WlsParams) -> scipy.sparse.csr_matrix:
+    import scipy.sparse
+
     h, w = guidance.shape
     idx = np.arange(h * w).reshape(h, w)
 

@@ -239,7 +239,7 @@ def test_criterion_8_spatial_spectral_gain():
     start = time.perf_counter()
     cube, gt = make_blocky_scene(seed=3, sigma=0.45)
     mask = make_train_mask(gt, 20, seed=103)
-    train, train_labels, _, _, _ = split_by_mask(cube, gt, mask)
+    train, train_labels, _, _ = split_by_mask(cube, gt, mask)
     d = build_dictionary(train, train_labels, NORM_L2)
     params = BtcParams(m=10, alpha=1e-10)
     final_wls, pixelwise = spatial_spectral_classify(

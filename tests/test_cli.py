@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
+import btckit
 from btckit import HsiCube, build_dictionary, kbtc_estimate_params, save_hsi_cube
 from btckit.cli import _parse_gamma_grid, main
 from btckit.data import NORM_RANGE, save_label_map, LabelMap
@@ -64,6 +67,25 @@ class TestClassifyCommand:
         assert (out / "report.txt").exists()
         assert (out / "report.json").exists()
         assert (out / "predictions.csv.config.txt").exists()
+
+    def test_btc_runs_without_scipy(self, blob_files, tmp_path):
+        # a fresh interpreter: this one may have imported SciPy for other tests
+        (tr_x, tr_y), (te_x, te_y) = blob_files
+        argv = [
+            "classify", "--train", tr_x, "--train-labels", tr_y,
+            "--test", te_x, "--test-labels", te_y, "--classifier", "btc",
+            "--m", "6", "--alpha", "0.01", "--output-dir", str(tmp_path / "out"),
+        ]
+        code = (
+            "import sys, btckit, btckit.cli\n"
+            f"rc = btckit.cli.main({argv!r})\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(btckit.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        assert out.stdout.splitlines()[-1] == "0 []"
 
     def test_kbtc_end_to_end(self, blob_files, tmp_path):
         (tr_x, tr_y), (te_x, te_y) = blob_files

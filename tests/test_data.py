@@ -227,11 +227,21 @@ class TestSplitByMask:
         cube = self._cube(2, 2)
         gt = LabelMap(2, 2, np.array([[1, 1], [2, 2]]))
         mask = LabelMap(2, 2, np.array([[1, 0], [2, 0]]))
-        tr, trl, te, tel, coords = split_by_mask(cube, gt, mask)
-        assert tr.shape[0] == 2 and te.shape[0] == 2
+        tr, trl, tel, coords = split_by_mask(cube, gt, mask)
+        assert tr.shape[0] == 2 and len(coords) == 2
         np.testing.assert_array_equal(trl, [1, 2])
         np.testing.assert_array_equal(tel, [1, 2])
-        assert coords == [(0, 1), (1, 1)]
+        np.testing.assert_array_equal(coords, [(0, 1), (1, 1)])
+
+    def test_test_coordinates_are_an_int64_array(self):
+        cube = self._cube(3, 4)
+        gt = LabelMap(3, 4, np.array([[1, 1, 0, 2], [1, 2, 2, 2], [0, 1, 2, 1]]))
+        mask = LabelMap(3, 4, np.array([[1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]]))
+        _, _, tel, coords = split_by_mask(cube, gt, mask)
+        assert isinstance(coords, np.ndarray)
+        assert coords.dtype == np.int64 and coords.shape == (8, 2)
+        np.testing.assert_array_equal(coords, np.argwhere((gt.labels > 0) & (mask.labels == 0)))
+        np.testing.assert_array_equal(tel, gt.labels[coords[:, 0], coords[:, 1]])
 
     def test_all_unlabeled(self):
         cube = self._cube(2, 2)

@@ -289,6 +289,13 @@ class TestKbtcBeta:
             rivals = np.delete(residuals, cid - 1)
             assert got == pytest.approx(residuals[cid - 1] / rivals.min(), abs=1e-9)
 
+    def test_cache_spec_mismatch_rejected(self):
+        d = self._clustered()
+        cache = kernel_cache(d, KernelSpec(kind="rbf", gamma=8.0))
+        params = KbtcParams(m=3, alpha=1e-9, spec=KernelSpec(kind="rbf", gamma=1.0))
+        with pytest.raises(ConfigError, match="different spec"):
+            kbtc_beta_sample(d, 1, 0, params, cache)
+
     def test_prop2_consistency(self):
         # identifiable training columns classify to their own class
         d = self._clustered()

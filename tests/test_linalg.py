@@ -1,5 +1,8 @@
 """Numerical kernels: SPD solves, top-M selection, PCA, coherence."""
 
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -12,6 +15,7 @@ from btckit import (
     solve_spd_regularized,
     top_m_select,
 )
+from btckit import linalg
 from btckit.errors import ConfigError
 from btckit.linalg import top_m_rows
 
@@ -161,6 +165,26 @@ class TestPcaFirstComponent:
         for values in (np.full((7, 9, 5), 0.3), np.tile(np.linspace(0.1, 0.9, 5), (7, 9, 1))):
             out = pca_first_component(HsiCube(7, 9, 5, values))
             np.testing.assert_array_equal(out, np.zeros((7, 9)))
+
+    def test_memory_bounded_by_row_blocks(self, rng):
+        h, w, b = 64, 64, 50
+        values = rng.normal(size=(h, w, b)) + rng.normal(size=(h, w, 1)) * np.linspace(0, 3, b)
+        with patch.object(linalg, "CHUNK_BYTES", 1 << 15):
+            tracemalloc.start()
+            try:
+                out = pca_first_component(HsiCube(h, w, b, values))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < values.nbytes / 4
+        # the whole-cube formula: center every pixel at once, then project
+        X = values.reshape(h * w, b)
+        Xc = X - X.mean(axis=0)
+        score = Xc @ np.linalg.eigh(Xc.T @ Xc / (h * w - 1))[1][:, -1]
+        if score @ Xc.mean(axis=1) < 0:
+            score = -score
+        expected = ((score - score.min()) / (score.max() - score.min())).reshape(h, w)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_output_in_unit_interval(self, rng):
         values = rng.normal(size=(4, 4, 3)) * 100

@@ -283,7 +283,7 @@ class TestPipeline:
         mask = make_train_mask(gt, 20, seed=109)
         from btckit import split_by_mask
 
-        train, train_labels, _, _, _ = split_by_mask(cube, gt, mask)
+        train, train_labels, _, _ = split_by_mask(cube, gt, mask)
         d = build_dictionary(train, train_labels)
         params = BtcParams(m=10, alpha=1e-10)
         final, pixelwise = spatial_spectral_classify(cube, d, params, smoothing="wls")
