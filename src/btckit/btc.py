@@ -73,16 +73,18 @@ def btc_residuals(dictionary: Dictionary, Y: np.ndarray, params: BtcParams) -> n
     """Per-class residuals (S x C) of every row of Y: the batch form of :func:`btc_classify`.
 
     The predicted class of row i is ``argmin(residuals[i]) + 1``. Rows are
-    classified in chunks, so memory stays bounded for any S.
+    classified in chunks, so memory stays bounded for any S. Y may have any
+    real float dtype: each chunk is widened to float64 as it is classified,
+    so a float32 Y is never copied whole.
     """
     params.validate(dictionary.n_features, dictionary.n_samples)
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = np.asarray(Y)
     atoms, labels = np.ascontiguousarray(dictionary.columns.T), dictionary.column_labels()
     gram = dictionary.columns.T @ dictionary.columns
     out = np.empty((Y.shape[0], dictionary.n_classes))
     m, n_classes = params.m, dictionary.n_classes
     for sl in chunks(Y.shape[0], dictionary.n_samples + m * m):
-        Yn, V = _correlations(dictionary, Y[sl], first=sl.start)
+        Yn, V = _correlations(dictionary, np.asarray(Y[sl], dtype=np.float64), first=sl.start)
         support = top_m_rows(V, m, mode=SELECT_MAGNITUDE)
         out[sl], _ = gram_residuals(
             gram, labels, n_classes, V, np.ones(len(V)), support, params.alpha, sl.start, (atoms, Yn)

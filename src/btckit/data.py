@@ -90,12 +90,17 @@ class Dictionary:
 
 @dataclass(frozen=True)
 class HsiCube:
-    """Height x width x bands image cube with finite values."""
+    """Height x width x bands image cube with finite values.
+
+    ``values`` is (height, width, bands) in any real float dtype; a loaded
+    cube keeps its raw file's dtype. Consumers widen to float64 only the
+    rows they are about to use.
+    """
 
     height: int
     width: int
     bands: int
-    values: np.ndarray  # (height, width, bands) float64
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -219,7 +224,11 @@ def build_dictionary(
 
 
 def load_hsi_cube(header_path: str, raw_path: str) -> HsiCube:
-    """Load a cube from a key-value header and a little-endian BSQ raw file."""
+    """Load a cube from a key-value header and a little-endian BSQ raw file.
+
+    ``values`` keeps the file's dtype (float32 for ``f32``, float64 for
+    ``f64``) as a band-sequential view; it is not widened here.
+    """
     keys = _parse_header(header_path)
     for required in ("height", "width", "bands", "dtype"):
         if required not in keys:
@@ -243,7 +252,7 @@ def load_hsi_cube(header_path: str, raw_path: str) -> HsiCube:
             f"{raw_path}: size {actual} bytes ≠ expected {expected} "
             f"({height}x{width}x{bands} {keys['dtype']})"
         )
-    flat = np.fromfile(raw_path, dtype=dtype).astype(np.float64)
+    flat = np.fromfile(raw_path, dtype=dtype)
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
         raise DataFormatError(f"{raw_path}: non-finite value at flat index {int(bad[0])}")
@@ -323,8 +332,8 @@ def split_by_mask(
     remaining labeled ground-truth pixels. Returns (train_samples,
     train_labels, test_labels, test_rc): training samples in row form, and
     the test pixels' (row, column) coordinates as an (n, 2) int64 array in
-    row-major order. Test samples are not gathered; ``cube.values`` at
-    ``test_rc`` holds them.
+    row-major order. Training samples are float64 whatever the cube's dtype.
+    Test samples are not gathered; ``cube.values`` at ``test_rc`` holds them.
     """
     if (gt.height, gt.width) != (cube.height, cube.width):
         raise DataFormatError("ground truth dims do not match cube")
@@ -340,7 +349,7 @@ def split_by_mask(
 
     train_rc = np.argwhere(train_mask.labels > 0)
     test_rc = np.argwhere((gt.labels > 0) & (train_mask.labels == 0))
-    train_samples = cube.values[train_rc[:, 0], train_rc[:, 1]]
+    train_samples = cube.values[train_rc[:, 0], train_rc[:, 1]].astype(np.float64, copy=False)
     train_labels = gt.labels[train_rc[:, 0], train_rc[:, 1]]
     test_labels = gt.labels[test_rc[:, 0], test_rc[:, 1]]
 

@@ -99,14 +99,17 @@ def kbtc_residuals(
     The dictionary's ``scaling``, if any, is applied one chunk at a time, so
     rows arrive as loaded (:func:`kbtc_classify` takes one already scaled).
     The predicted class of row i is ``argmin(residuals[i]) + 1``. Rows are
-    classified in chunks, one kernel block each, so memory stays bounded.
+    classified in chunks, one kernel block each, so memory stays bounded. Y
+    may have any real float dtype: each chunk is widened to float64 as it is
+    classified, so a float32 Y is never copied whole.
     """
     _check(dictionary, params, cache)
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = np.asarray(Y)
     labels, scaling = dictionary.column_labels(), dictionary.scaling
     out = np.empty((Y.shape[0], dictionary.n_classes))
     for sl in chunks(Y.shape[0], dictionary.n_samples + params.m * params.m):
-        rows = Y[sl] if scaling is None else scaling.apply(Y[sl])
+        # scaling.apply widens the chunk itself
+        rows = np.asarray(Y[sl], dtype=np.float64) if scaling is None else scaling.apply(Y[sl])
         V, kyy = _kernel_rows(dictionary, rows, params.spec)
         support = top_m_rows(V, params.m, mode=params.spec.selection_mode)
         out[sl], _ = gram_residuals(

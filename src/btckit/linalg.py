@@ -329,22 +329,37 @@ def pca_first_component(cube: HsiCube) -> np.ndarray:
 
     The component is the top eigenvector of the band covariance
     (``np.linalg.eigh``); its sign is fixed so the component correlates
-    non-negatively with the band-mean image. A constant cube gives zeros.
-    The cube is read in blocks of image rows from :func:`chunks`, so no
-    centered copy of it is formed and the work memory stays bounded.
+    non-negatively with the band-mean image. A cube whose every band is
+    constant gives zeros. The cube is read in blocks of image rows from
+    :func:`chunks`, each widened to float64 as it is read, so no centered
+    or widened copy of the whole cube is formed and the work memory stays
+    bounded.
     """
     h, w, b = cube.height, cube.width, cube.bands
     blocks = list(chunks(h, w * b))
-    mean = sum(cube.values[sl].reshape(-1, b).sum(axis=0) for sl in blocks) / (h * w)
+
+    def pixels(sl: slice) -> np.ndarray:
+        return np.asarray(cube.values[sl].reshape(-1, b), dtype=np.float64)
+
+    total, lo, hi = np.zeros(b), np.full(b, np.inf), np.full(b, -np.inf)
+    for sl in blocks:
+        X = pixels(sl)
+        total += X.sum(axis=0)
+        lo, hi = np.minimum(lo, X.min(axis=0)), np.maximum(hi, X.max(axis=0))
+    if np.array_equal(lo, hi):
+        # the centered cube is exactly zero, but a rounded mean would leave
+        # noise that min_max stretches to [0, 1]
+        return np.zeros((h, w))
+    mean = total / (h * w)
     cov = np.zeros((b, b))
     for sl in blocks:
-        Xc = cube.values[sl].reshape(-1, b) - mean
+        Xc = pixels(sl) - mean
         cov += Xc.T @ Xc
     _, vecs = np.linalg.eigh(cov / max(h * w - 1, 1))
     score = np.empty((h, w))
     sign = 0.0
     for sl in blocks:
-        Xc = cube.values[sl].reshape(-1, b) - mean
+        Xc = pixels(sl) - mean
         score[sl] = (Xc @ vecs[:, -1]).reshape(-1, w)
         sign += float(score[sl].ravel() @ Xc.mean(axis=1))
     return min_max(-score if sign < 0 else score)

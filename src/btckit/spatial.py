@@ -18,7 +18,7 @@ import numpy as np
 from btckit.btc import BtcParams, btc_classify, btc_residuals  # noqa: F401
 from btckit.data import Dictionary, HsiCube, LabelMap
 from btckit.errors import BtckitError, ConfigError, NumericalError
-from btckit.kbtc import KbtcParams, KernelCache, kbtc_residuals, kernel_cache
+from btckit.kbtc import KbtcParams, kbtc_residuals, kernel_cache
 from btckit.linalg import min_max, pca_first_component
 
 # SciPy is imported by the smoothing that uses it, so the commands and the
@@ -50,14 +50,14 @@ def build_residual_cube(
     cube: HsiCube,
     dictionary: Dictionary,
     params: BtcParams | KbtcParams,
-    cache: KernelCache | None = None,
 ) -> tuple[np.ndarray, LabelMap]:
     """Classify every pixel and stack the residual vectors into an H x W x C cube.
 
-    BTC is used for :class:`BtcParams`, KBTC for :class:`KbtcParams` (the
-    kernel cache is built on demand); the whole cube goes through one batch
-    call. The whole cube is min-max normalized to [0, 1] with one scale, so
-    residuals stay comparable across layers. Also returns the pixel-wise
+    BTC is used for :class:`BtcParams`, KBTC for :class:`KbtcParams` (on the
+    dictionary's kernel cache, built here); the whole cube goes through one
+    batch call, which widens the pixels to float64 one chunk at a time. The
+    whole cube is min-max normalized to [0, 1] with one scale, so residuals
+    stay comparable across layers. Also returns the pixel-wise
     class map. A pixel that fails raises NumericalError naming its (row,
     column).
     """
@@ -65,9 +65,7 @@ def build_residual_cube(
     pixels = cube.values.reshape(h * w, cube.bands)
     try:
         if isinstance(params, KbtcParams):
-            if cache is None:
-                cache = kernel_cache(dictionary, params.spec)
-            flat = kbtc_residuals(dictionary, pixels, params, cache)
+            flat = kbtc_residuals(dictionary, pixels, params, kernel_cache(dictionary, params.spec))
         else:
             flat = btc_residuals(dictionary, pixels, params)
     except BtckitError as exc:

@@ -10,7 +10,7 @@ import pytest
 from numpy.random import default_rng
 
 import btckit
-from btckit import HsiCube, build_dictionary, kbtc_estimate_params, save_hsi_cube
+from btckit import HsiCube, build_dictionary, kbtc_estimate_params, load_hsi_cube, save_hsi_cube
 from btckit.cli import _parse_gamma_grid, main
 from btckit.data import NORM_RANGE, save_label_map, LabelMap
 from btckit.errors import ConfigError
@@ -302,6 +302,21 @@ class TestHsiCommand:
         for name in ("classmap_pixelwise", "classmap_smoothed"):
             assert (out / f"{name}.csv").exists()
             assert (out / f"{name}.pgm").exists()
+
+    @pytest.mark.parametrize("classifier", ["btc", "kbtc"])
+    def test_f32_and_f64_files_of_the_same_values_write_identical_maps(self, tmp_path, classifier):
+        args, _, _ = _hsi_files(tmp_path)
+        cube = load_hsi_cube(args[2], args[4])
+        cube = HsiCube(cube.height, cube.width, cube.bands, cube.values.astype(np.float32))
+        for dtype in ("f32", "f64"):
+            hdr, raw = str(tmp_path / f"{dtype}.hdr"), str(tmp_path / f"{dtype}.raw")
+            save_hsi_cube(cube, hdr, raw, dtype=dtype)
+            argv = args[:1] + ["--cube-header", hdr, "--cube-raw", raw] + args[5:]
+            out = ["--classifier", classifier, "--smoothing", "wls", "--output-dir", str(tmp_path / dtype)]
+            assert main(argv + out) == 0
+        for name in ("classmap_pixelwise.csv", "classmap_smoothed.csv", "classmap_pixelwise.pgm",
+                     "classmap_smoothed.pgm"):
+            assert (tmp_path / "f32" / name).read_bytes() == (tmp_path / "f64" / name).read_bytes()
 
     def test_scores_test_pixels_only(self, tmp_path):
         args, gt, mask = _hsi_files(tmp_path)

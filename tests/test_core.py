@@ -1,5 +1,6 @@
 """The batched Gram-space core: selection, solves, class residuals, beta profiles."""
 
+import tracemalloc
 from contextlib import nullcontext
 from unittest.mock import patch
 
@@ -31,7 +32,7 @@ from btckit import (
     kernel_cache,
     top_m_select,
 )
-from btckit import linalg
+from btckit import linalg, spatial
 from btckit.linalg import beta_profile, gram_residuals, top_m_rows
 from btckit.data import NORM_L2, NORM_RANGE
 from btckit.errors import ConfigError, NumericalError
@@ -127,10 +128,10 @@ class TestBatchEqualsSingle:
         cube = HsiCube(height=3, width=4, bands=6, values=rng.normal(size=(3, 4, 6)))
         spec = KernelSpec(kind="rbf", gamma=0.7)
         params = KbtcParams(m=m, alpha=1e-4, spec=spec)
-        cache = kernel_cache(d, spec)
         with _tiny_chunks():
-            _, classmap = build_residual_cube(cube, d, params, cache=cache)
+            _, classmap = build_residual_cube(cube, d, params)
         pixels = d.scaling.apply(cube.values.reshape(12, 6))
+        cache = kernel_cache(d, spec)
         single = [kbtc_classify(d, y, params, cache)[0].predicted_class for y in pixels]
         np.testing.assert_array_equal(classmap.labels.ravel(), single)
 
@@ -147,6 +148,50 @@ class TestBatchEqualsSingle:
                 for g in range(d.n_samples)
             ]
             assert beta == pytest.approx(np.mean(single), rel=0, abs=1e-12)
+
+
+def _float32_cube(seed, h, w, b):
+    """A float32 cube in the band-sequential layout load_hsi_cube returns, and its float64 twin."""
+    values = default_rng(seed).uniform(0.1, 1.0, size=(b, h, w)).astype(np.float32).transpose(1, 2, 0)
+    # astype keeps the band-sequential strides, as widening the raw file up front did
+    return HsiCube(h, w, b, values), HsiCube(h, w, b, values.astype(np.float64))
+
+
+def _cube_params(bands, kind):
+    """A 3-class dictionary of 60 random spectra, and BTC or KBTC parameters."""
+    train, labels = default_rng(0).uniform(0.1, 1.0, size=(60, bands)), np.repeat([1, 2, 3], 20)
+    if kind == "btc":
+        return build_dictionary(train, labels, NORM_L2), BtcParams(m=4, alpha=0.01)
+    spec = KernelSpec(kind="rbf", gamma=0.5)
+    return build_dictionary(train, labels, NORM_RANGE), KbtcParams(m=4, alpha=1e-4, spec=spec)
+
+
+class TestFloat32Cube:
+    @pytest.mark.parametrize("kind", ["btc", "kbtc"])
+    def test_residual_cube_equals_widened_cube_bit_for_bit(self, kind):
+        cube32, cube64 = _float32_cube(9, 6, 7, 12)
+        d, params = _cube_params(cube32.bands, kind)
+        with _tiny_chunks():
+            r32, map32 = build_residual_cube(cube32, d, params)
+            r64, map64 = build_residual_cube(cube64, d, params)
+        np.testing.assert_array_equal(r32, r64)
+        np.testing.assert_array_equal(map32.labels, map64.labels)
+
+    @pytest.mark.parametrize("kind", ["btc", "kbtc"])
+    def test_memory_below_the_widened_cube(self, kind):
+        cube32, _ = _float32_cube(10, 64, 64, 100)
+        d, params = _cube_params(cube32.bands, kind)
+        widened = cube32.values.size * 8
+        with patch.object(linalg, "CHUNK_BYTES", 1 << 15):
+            tracemalloc.start()
+            try:
+                build_residual_cube(cube32, d, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # no copy of the cube is made, widened or not: a quarter of its float64
+        # size is half its float32 size
+        assert peak < widened / 4
 
 
 class TestTies:
@@ -236,7 +281,7 @@ class TestNumericalPolicy:
         with _tiny_chunks(), pytest.raises(NumericalError, match="sample 4"):
             kbtc_residuals(d, Y, params, _forged_cache(d, spec, 7))
 
-    def test_non_pd_pixel_names_row_and_column(self):
+    def test_non_pd_pixel_names_row_and_column(self, monkeypatch):
         rng = default_rng(4)
         train = rng.normal(size=(6, 5))
         d = build_dictionary(train, [1, 1, 1, 2, 2, 2], NORM_RANGE)
@@ -244,8 +289,10 @@ class TestNumericalPolicy:
         params = KbtcParams(m=1, alpha=1e-6, spec=spec)
         values = train[[0, 1, 2, 3, 5, 4]].reshape(2, 3, 5)  # atom 4 sits at pixel (1,2)
         cube = HsiCube(height=2, width=3, bands=5, values=values)
+        forged = _forged_cache(d, spec, 4)
+        monkeypatch.setattr(spatial, "kernel_cache", lambda *_: forged)
         with pytest.raises(NumericalError, match=r"pixel \(1,2\)"):
-            build_residual_cube(cube, d, params, cache=_forged_cache(d, spec, 4))
+            build_residual_cube(cube, d, params)
 
     def test_linear_kernel_on_large_raw_values_does_not_raise(self):
         # a sample equal to an atom leaves a radicand of order 0 next to terms

@@ -158,6 +158,8 @@ class TestHsiCubeIO:
         np.arange(4, dtype="<f4").tofile(raw)
         cube = load_hsi_cube(hdr, str(raw))
         assert (cube.height, cube.width, cube.bands) == (2, 2, 1)
+        # kept as stored: consumers widen the rows they use
+        assert cube.values.dtype == np.float32
         np.testing.assert_allclose(cube.values[:, :, 0], [[0, 1], [2, 3]])
 
     def test_size_mismatch(self, tmp_path):
@@ -187,6 +189,7 @@ class TestHsiCubeIO:
         cube = HsiCube(height=3, width=4, bands=2, values=values)
         save_hsi_cube(cube, str(tmp_path / "o.hdr"), str(tmp_path / "o.raw"), dtype="f64")
         back = load_hsi_cube(str(tmp_path / "o.hdr"), str(tmp_path / "o.raw"))
+        assert back.values.dtype == np.float64
         np.testing.assert_array_equal(back.values, values)
 
     def test_round_trip_f32_one_ulp(self, tmp_path, rng):
@@ -242,6 +245,15 @@ class TestSplitByMask:
         assert coords.dtype == np.int64 and coords.shape == (8, 2)
         np.testing.assert_array_equal(coords, np.argwhere((gt.labels > 0) & (mask.labels == 0)))
         np.testing.assert_array_equal(tel, gt.labels[coords[:, 0], coords[:, 1]])
+
+    def test_training_samples_are_float64_from_a_float32_cube(self):
+        cube = self._cube(2, 2)
+        cube32 = HsiCube(2, 2, 3, cube.values.astype(np.float32))
+        gt = LabelMap(2, 2, np.array([[1, 1], [2, 2]]))
+        mask = LabelMap(2, 2, np.array([[1, 0], [2, 0]]))
+        tr = split_by_mask(cube32, gt, mask)[0]
+        assert tr.dtype == np.float64
+        np.testing.assert_array_equal(tr, cube32.values[[0, 1], [0, 0]])
 
     def test_all_unlabeled(self):
         cube = self._cube(2, 2)

@@ -162,9 +162,21 @@ class TestPcaFirstComponent:
         np.testing.assert_allclose(out, out_p, atol=1e-6)
 
     def test_constant_cube_gives_zeros(self):
-        for values in (np.full((7, 9, 5), 0.3), np.tile(np.linspace(0.1, 0.9, 5), (7, 9, 1))):
-            out = pca_first_component(HsiCube(7, 9, 5, values))
-            np.testing.assert_array_equal(out, np.zeros((7, 9)))
+        # a rounded band mean leaves centered noise at the larger shapes; exactly
+        # zero is the answer whatever the shape, value or dtype
+        for (h, w, b), level in (((7, 9, 5), 0.3), ((145, 145, 30), 0.37), ((61, 37, 20), 0.37)):
+            for values in (np.full((h, w, b), level), np.tile(np.linspace(0.1, 0.9, b), (h, w, 1))):
+                for dtype in (np.float64, np.float32):
+                    out = pca_first_component(HsiCube(h, w, b, values.astype(dtype)))
+                    np.testing.assert_array_equal(out, np.zeros((h, w)))
+
+    def test_float32_cube_equals_widened_cube_bit_for_bit(self, rng):
+        # band-sequential float32, as load_hsi_cube returns an f32 file
+        values = rng.normal(size=(6, 9, 7)).astype(np.float32).transpose(1, 2, 0)
+        with patch.object(linalg, "CHUNK_BYTES", 1):
+            out32 = pca_first_component(HsiCube(9, 7, 6, values))
+            out64 = pca_first_component(HsiCube(9, 7, 6, values.astype(np.float64)))
+        np.testing.assert_array_equal(out32, out64)
 
     def test_memory_bounded_by_row_blocks(self, rng):
         h, w, b = 64, 64, 50
