@@ -25,8 +25,6 @@ from btckit.data import (
     split_by_mask,
 )
 from btckit.linalg import (
-    SELECT_MAGNITUDE,
-    SELECT_RAW,
     mutual_coherence,
     pca_first_component,
     solve_spd_regularized,

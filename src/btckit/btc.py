@@ -17,7 +17,6 @@ import numpy as np
 from btckit.data import Dictionary, NORM_L2
 from btckit.errors import ConfigError
 from btckit.linalg import (
-    SELECT_MAGNITUDE,
     beta_profile,
     chunks,
     gram_residuals,
@@ -85,7 +84,7 @@ def btc_residuals(dictionary: Dictionary, Y: np.ndarray, params: BtcParams) -> n
     m, n_classes = params.m, dictionary.n_classes
     for sl in chunks(Y.shape[0], dictionary.n_samples + m * m):
         Yn, V = _correlations(dictionary, np.asarray(Y[sl], dtype=np.float64), first=sl.start)
-        support = top_m_rows(V, m, mode=SELECT_MAGNITUDE)
+        support = top_m_rows(V, m)
         out[sl], _ = gram_residuals(
             gram, labels, n_classes, V, np.ones(len(V)), support, params.alpha, sl.start, (atoms, Yn)
         )
@@ -108,7 +107,7 @@ def btc_classify(
     params.validate(dictionary.n_features, dictionary.n_samples)
     Yn, V = _correlations(dictionary, np.asarray(y, dtype=np.float64)[None, :])
     if support is None:
-        support = top_m_select(V[0], params.m, mode=SELECT_MAGNITUDE)
+        support = top_m_select(V[0], params.m)
     else:
         support = np.asarray(support, dtype=np.int64)
     # the core on the support alone: its Gram block, labels and correlations
@@ -138,7 +137,7 @@ def _correlations(
 def corr_classify(dictionary: Dictionary, y: np.ndarray, m: int) -> int:
     """Correlation baseline: argmax of class-wise sums of the M largest correlations."""
     v = _correlations(dictionary, np.asarray(y, dtype=np.float64)[None, :])[1][0]
-    keep = top_m_select(v, m, mode=SELECT_MAGNITUDE)
+    keep = top_m_select(v, m)
     labels = dictionary.column_labels()[keep] - 1
     sums = np.bincount(labels, weights=v[keep], minlength=dictionary.n_classes)
     # ties -> lowest class id (argmax returns first maximum)
@@ -155,7 +154,7 @@ def btc_beta_sample(
     rival residual. Values below 1 mean the column is identifiable.
     """
     col = beta_column(dictionary, class_id, sample_idx, params)
-    return float(beta_profile(dictionary, [params.m], params.alpha, SELECT_MAGNITUDE, cols=[col])[0, 0])
+    return float(beta_profile(dictionary, [params.m], params.alpha, cols=[col])[0, 0])
 
 
 def beta_column(dictionary: Dictionary, class_id: int, sample_idx: int, params: BtcParams) -> int:
@@ -174,7 +173,7 @@ def btc_beta_average(dictionary: Dictionary, m: int, alpha: float) -> float:
     BtcParams(m=m, alpha=alpha).validate(dictionary.n_features, dictionary.n_samples)
     if m < 2:
         raise ConfigError("beta requires M >= 2")
-    return float(beta_profile(dictionary, [m], alpha, SELECT_MAGNITUDE).mean())
+    return float(beta_profile(dictionary, [m], alpha).mean())
 
 
 def btc_estimate_threshold(
@@ -195,7 +194,7 @@ def btc_estimate_threshold(
         raise ConfigError("empty M range")
     if ms[0] < 2 or ms[-1] >= b:
         raise ConfigError(f"M range must lie within [2, {b - 1}]")
-    return threshold_argmin(ms, beta_profile(dictionary, ms, alpha, SELECT_MAGNITUDE).mean(axis=1))
+    return threshold_argmin(ms, beta_profile(dictionary, ms, alpha).mean(axis=1))
 
 
 def threshold_argmin(ms: Sequence[int], averages: np.ndarray) -> tuple[int, list[tuple[int, float]]]:
@@ -214,7 +213,7 @@ def recover_sparse(A: np.ndarray, y: np.ndarray, m: int, alpha: float) -> np.nda
     A = np.asarray(A, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     v = A.T @ y
-    sel = top_m_select(v, m, mode=SELECT_MAGNITUDE)
+    sel = top_m_select(v, m)
     D = A[:, sel]
     coeffs = solve_spd_regularized(D.T @ D, D.T @ y, alpha)
     x = np.zeros(A.shape[1])

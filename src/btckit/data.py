@@ -35,10 +35,12 @@ class ScalingParams:
         Values outside the training range are not clamped; a test feature
         above the training maximum maps above 1.
         """
-        samples = np.asarray(samples, dtype=np.float64)
         span = self.feat_max - self.feat_min
         span = np.where(span > 0, span, 1.0)
-        return (samples - self.feat_min) / span
+        # one float64 result, never the caller's array
+        out = np.subtract(samples, self.feat_min, dtype=np.float64)
+        out /= span
+        return out
 
     @classmethod
     def fit(cls, samples: np.ndarray) -> "ScalingParams":
@@ -252,10 +254,15 @@ def load_hsi_cube(header_path: str, raw_path: str) -> HsiCube:
             f"{raw_path}: size {actual} bytes ≠ expected {expected} "
             f"({height}x{width}x{bands} {keys['dtype']})"
         )
+    from btckit.linalg import chunks  # linalg imports this module
+
     flat = np.fromfile(raw_path, dtype=dtype)
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise DataFormatError(f"{raw_path}: non-finite value at flat index {int(bad[0])}")
+    # block by block, so the check's masks stay one block long
+    for sl in chunks(flat.size, 1):
+        finite = np.isfinite(flat[sl])
+        if not finite.all():
+            first = sl.start + int(np.argmin(finite))
+            raise DataFormatError(f"{raw_path}: non-finite value at flat index {first}")
     values = flat.reshape(bands, height, width).transpose(1, 2, 0)
     return HsiCube(height=height, width=width, bands=bands, values=values)
 

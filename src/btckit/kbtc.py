@@ -18,8 +18,6 @@ from btckit.btc import BtcParams, ResidualVector, SparseCode, beta_column, thres
 from btckit.data import Dictionary
 from btckit.errors import ConfigError, NumericalError
 from btckit.linalg import (
-    SELECT_MAGNITUDE,
-    SELECT_RAW,
     beta_profile,
     chunks,
     gram_residuals,
@@ -44,12 +42,6 @@ class KernelSpec:
         if self.kind == KERNEL_RBF and not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ConfigError(f"gamma must be finite and positive, got {self.gamma}")
 
-    @property
-    def selection_mode(self) -> str:
-        # RBF values are strictly positive: raw ranking; linear values may
-        # be signed: magnitude ranking
-        return SELECT_RAW if self.kind == KERNEL_RBF else SELECT_MAGNITUDE
-
 
 @dataclass(frozen=True)
 class KernelCache:
@@ -67,18 +59,33 @@ class KbtcParams(BtcParams):
 
 
 def kernel_matrix(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Pairwise kernel evaluations between the columns of X and Y."""
+    """Pairwise kernel evaluations between the columns of X and Y.
+
+    The RBF value is exp(-gamma * max(|x|^2 + |y|^2 - 2 x'y, 0)), so every
+    value lies in [0, 1]: selection, which always ranks by |v|, ranks RBF
+    values by their signed size. The result is the only full-size array:
+    X'Y is formed in it, then each row block of :func:`chunks` becomes
+    kernel values in place, so a call holds the result plus about
+    CHUNK_BYTES of work. A non-finite value raises NumericalError.
+    """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    if spec.kind == KERNEL_LINEAR:
-        out = X.T @ Y
-    else:
-        sq_x = np.sum(X * X, axis=0)[:, None]
-        sq_y = np.sum(Y * Y, axis=0)[None, :]
-        d2 = np.maximum(sq_x + sq_y - 2.0 * (X.T @ Y), 0.0)
-        out = np.exp(-spec.gamma * d2)
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("non-finite kernel value")
+    if spec.kind == KERNEL_RBF:
+        # before the result exists, so X * X and Y * Y do not add to its peak
+        sq_x = np.sum(X * X, axis=0)
+        sq_y = np.sum(Y * Y, axis=0)
+    out = X.T @ Y
+    for sl in chunks(out.shape[0], out.shape[1]):
+        block = out[sl]
+        if spec.kind == KERNEL_RBF:
+            # -2P + S rounds as S - 2P does: negation is exact, addition commutes
+            block *= -2.0
+            block += sq_x[sl, None] + sq_y
+            np.maximum(block, 0.0, out=block)
+            block *= -spec.gamma
+            np.exp(block, out=block)
+        if not np.all(np.isfinite(block)):
+            raise NumericalError("non-finite kernel value")
     return out
 
 
@@ -111,7 +118,7 @@ def kbtc_residuals(
         # scaling.apply widens the chunk itself
         rows = np.asarray(Y[sl], dtype=np.float64) if scaling is None else scaling.apply(Y[sl])
         V, kyy = _kernel_rows(dictionary, rows, params.spec)
-        support = top_m_rows(V, params.m, mode=params.spec.selection_mode)
+        support = top_m_rows(V, params.m)
         out[sl], _ = gram_residuals(
             cache.gram, labels, dictionary.n_classes, V, kyy, support, params.alpha, first=sl.start
         )
@@ -134,7 +141,7 @@ def kbtc_classify(
     _check(dictionary, params, cache)
     V, kyy = _kernel_rows(dictionary, np.asarray(y, dtype=np.float64)[None, :], params.spec)
     if support is None:
-        support = top_m_select(V[0], params.m, mode=params.spec.selection_mode)
+        support = top_m_select(V[0], params.m)
     else:
         support = np.asarray(support, dtype=np.int64)
     residuals, coeffs = gram_residuals(
@@ -184,8 +191,7 @@ def kbtc_beta_sample(
     """Kernel sufficient-identification ratio for one training column."""
     _check(dictionary, params, cache)
     col = beta_column(dictionary, class_id, sample_idx, params)
-    mode = params.spec.selection_mode
-    return float(beta_profile(dictionary, [params.m], params.alpha, mode, cache.gram, [col])[0, 0])
+    return float(beta_profile(dictionary, [params.m], params.alpha, cache.gram, [col])[0, 0])
 
 
 def kbtc_gamma_profile(
@@ -212,14 +218,14 @@ def _gamma_m_table(
         raise ConfigError("empty gamma grid")
     ms = range(1, dictionary.n_features)
     grams = (kernel_cache(dictionary, KernelSpec(gamma=g)).gram for g in gammas)
-    return gammas, np.array([beta_profile(dictionary, ms, alpha, SELECT_RAW, gram).mean(axis=1) for gram in grams])
+    return gammas, np.array([beta_profile(dictionary, ms, alpha, gram).mean(axis=1) for gram in grams])
 
 
 def kbtc_beta_average_m(
     dictionary: Dictionary, cache: KernelCache, m: int, alpha: float
 ) -> float:
     """Average identification ratio over all columns for a fixed M."""
-    return float(beta_profile(dictionary, [m], alpha, cache.spec.selection_mode, cache.gram).mean())
+    return float(beta_profile(dictionary, [m], alpha, cache.gram).mean())
 
 
 def kbtc_estimate_params(

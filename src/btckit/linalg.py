@@ -16,9 +16,6 @@ import numpy as np
 from btckit.data import Dictionary, HsiCube, NORM_L2
 from btckit.errors import ConfigError, NumericalError
 
-SELECT_MAGNITUDE = "magnitude"
-SELECT_RAW = "raw"
-
 # Batches reach the core in chunks of about this many bytes of float64 work
 # (S x N kernel values, S x M x M systems): memory stays bounded for any
 # test set, cube or column set, and per-chunk overhead stays negligible.
@@ -106,27 +103,19 @@ def _tril_inverse(L: np.ndarray) -> np.ndarray:
     return W
 
 
-def top_m_rows(
-    V: np.ndarray, m: int, mode: str = SELECT_MAGNITUDE, exclude: np.ndarray | None = None
-) -> np.ndarray:
-    """Per row of V (S x N), the indices of its M largest entries (S x M).
+def top_m_rows(V: np.ndarray, m: int, exclude: np.ndarray | None = None) -> np.ndarray:
+    """Per row of V (S x N), the indices of its M entries largest in magnitude (S x M).
 
-    ``magnitude`` ranks by |v|, ``raw`` by the signed value. Rows are in
-    selection order with ties to the lower index, as a stable sort on
-    descending score gives. Row i skips column ``exclude[i]``, if given.
+    Rows are in selection order with ties to the lower index, as a stable
+    sort on descending |v| gives. Row i skips column ``exclude[i]``, if given.
     """
     V = np.asarray(V, dtype=np.float64)
     s, n = V.shape
     available = n if exclude is None else n - 1
     if not 1 <= m <= available:
         raise ConfigError(f"M={m} out of range [1, {available}]")
-    if mode == SELECT_MAGNITUDE:
-        neg = np.abs(V)
-        np.negative(neg, out=neg)
-    elif mode == SELECT_RAW:
-        neg = -V
-    else:
-        raise ConfigError(f"unknown selection mode {mode!r}")
+    neg = np.abs(V)
+    np.negative(neg, out=neg)
     if exclude is not None:
         exclude = np.asarray(exclude, dtype=np.int64)
         if exclude.shape != (s,) or np.any((exclude < 0) | (exclude >= n)):
@@ -146,13 +135,13 @@ def top_m_rows(
     return top
 
 
-def top_m_select(v: np.ndarray, m: int, mode: str = SELECT_MAGNITUDE) -> np.ndarray:
-    """Indices of the M largest entries of v, ties broken by ascending index.
+def top_m_select(v: np.ndarray, m: int) -> np.ndarray:
+    """Indices of the M entries of v largest in |v_i|, ties broken by ascending index.
 
-    ``magnitude`` ranks by |v_i|, ``raw`` by the signed value. The result is
-    in selection order (descending score). One row of :func:`top_m_rows`.
+    The result is in selection order (descending |v_i|). One row of
+    :func:`top_m_rows`.
     """
-    return top_m_rows(np.asarray(v, dtype=np.float64)[None, :], m, mode)[0]
+    return top_m_rows(np.asarray(v, dtype=np.float64)[None, :], m)[0]
 
 
 def gram_residuals(
@@ -268,13 +257,12 @@ def beta_profile(
     dictionary: Dictionary,
     ms: Sequence[int],
     alpha: float,
-    mode: str,
     gram: np.ndarray | None = None,
     cols: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Identification ratios (len(ms) x len(cols), all columns by default) per M.
 
-    Column g is coded on the M-1 columns ranked highest against it (itself
+    Column g is coded on the M-1 columns ranked highest in |gram[:, g]| (itself
     excluded) and scored as own-class residual over best rival residual, inf
     on a zero rival. Supports for every M are prefixes of one ranking, so
     one Cholesky factorization per column serves every M.
@@ -300,7 +288,7 @@ def beta_profile(
     for sl in chunks(cols.size, n + k_max * (k_max + ks.size)):
         g = cols[sl]
         V = np.ascontiguousarray(gram[:, g].T)
-        ranked = top_m_rows(V, k_max, mode, exclude=g) if k_max else np.empty((g.size, 0), np.int64)
+        ranked = top_m_rows(V, k_max, exclude=g) if k_max else np.empty((g.size, 0), np.int64)
         rows = np.arange(g.size)
         G = gram[ranked[:, :, None], ranked[:, None, :]]
         v = V[rows[:, None], ranked]
@@ -381,4 +369,4 @@ def mutual_coherence(dictionary: Dictionary) -> float:
         raise ConfigError("mutual coherence needs at least 2 columns")
     gram = dictionary.columns.T @ dictionary.columns
     np.fill_diagonal(gram, 0.0)
-    return float(np.abs(gram).max())
+    return float(np.abs(gram, out=gram).max())

@@ -200,21 +200,19 @@ class TestTies:
         st.integers(0, 2**32 - 1),
         st.integers(1, 6),
         st.integers(2, 30),
-        st.sampled_from([linalg.SELECT_MAGNITUDE, linalg.SELECT_RAW]),
         st.data(),
     )
-    def test_boundary_ties_keep_ascending_index(self, seed, s, n, mode, data):
+    def test_boundary_ties_keep_ascending_index(self, seed, s, n, data):
         rng = default_rng(seed)
         # duplicated columns of a few integer levels: ties everywhere, at the
         # M-th score too
         base = rng.integers(-3, 4, size=(s, max(1, n // 3))).astype(float)
         V = base[:, rng.integers(0, base.shape[1], size=n)]
         m = data.draw(st.integers(1, n))
-        got = top_m_rows(V, m, mode)
+        got = top_m_rows(V, m)
         for row, v in zip(got, V):
-            scores = np.abs(v) if mode == linalg.SELECT_MAGNITUDE else v
-            assert row.tolist() == _stable_top(scores, m)
-            assert row.tolist() == top_m_select(v, m, mode).tolist()
+            assert row.tolist() == _stable_top(np.abs(v), m)
+            assert row.tolist() == top_m_select(v, m).tolist()
 
     @SETTINGS
     @given(st.integers(0, 2**32 - 1), st.integers(3, 30), st.data())
@@ -222,7 +220,7 @@ class TestTies:
         V = default_rng(seed).integers(-2, 3, size=(4, n)).astype(float)
         exclude = np.array([data.draw(st.integers(0, n - 1)) for _ in range(4)])
         m = data.draw(st.integers(1, n - 1))
-        got = top_m_rows(V, m, linalg.SELECT_MAGNITUDE, exclude=exclude)
+        got = top_m_rows(V, m, exclude=exclude)
         for row, v, e in zip(got, V, exclude):
             ranked = [i for i in _stable_top(np.abs(v), n) if i != e]
             assert row.tolist() == ranked[:m]
@@ -357,7 +355,7 @@ class TestNumericalPolicy:
             residuals(-2e-10)
 
 
-def _beta_reference(gram, labels, ms, alpha, mode, features=None):
+def _beta_reference(gram, labels, ms, alpha, features=None):
     """Per column and M: a stable-sort ranking without the column, one solve, per-class residuals.
 
     With ``features`` (N x B rows) a residual is ||a_g - A_j x_j||, else the
@@ -366,8 +364,7 @@ def _beta_reference(gram, labels, ms, alpha, mode, features=None):
     n, n_classes = gram.shape[0], int(labels.max())
     out = np.empty((len(ms), n))
     for g in range(n):
-        scores = np.abs(gram[g]) if mode == linalg.SELECT_MAGNITUDE else gram[g]
-        ranking = [i for i in _stable_top(scores, n) if i != g]
+        ranking = [i for i in _stable_top(np.abs(gram[g]), n) if i != g]
         for j, m in enumerate(ms):
             s = ranking[: m - 1]
             x = np.linalg.solve(gram[np.ix_(s, s)] + alpha * np.eye(len(s)), gram[s, g]) if s else np.zeros(0)
@@ -421,8 +418,8 @@ class TestBetaProfile:
         d = self._dictionary(problem, duplicate, NORM_L2)
         gram = _tie_exact_gram(d.columns, d.columns.T @ d.columns)
         with _tiny_chunks():
-            got = beta_profile(d, ms, 0.01, linalg.SELECT_MAGNITUDE, gram)
-        ref = _beta_reference(gram, d.column_labels(), ms, 0.01, linalg.SELECT_MAGNITUDE, d.columns.T)
+            got = beta_profile(d, ms, 0.01, gram)
+        ref = _beta_reference(gram, d.column_labels(), ms, 0.01, d.columns.T)
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
 
     @SETTINGS
@@ -430,8 +427,8 @@ class TestBetaProfile:
     def test_kbtc_gram_equals_reference(self, problem, ms, duplicate, gamma):
         d = self._dictionary(problem, duplicate, NORM_RANGE)
         gram = _tie_exact_gram(d.columns, kernel_cache(d, KernelSpec(kind="rbf", gamma=gamma)).gram)
-        got = beta_profile(d, ms, 0.01, linalg.SELECT_RAW, gram)
-        ref = _beta_reference(gram, d.column_labels(), ms, 0.01, linalg.SELECT_RAW)
+        got = beta_profile(d, ms, 0.01, gram)
+        ref = _beta_reference(gram, d.column_labels(), ms, 0.01)
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
 
     def test_rankings_past_one_inverse_block_equal_reference(self):
@@ -439,8 +436,8 @@ class TestBetaProfile:
         _, d, _ = _problem(9, 40, 16, 3, 1)
         gram = d.columns.T @ d.columns
         ms = [40, 2, 17, 33, 40]
-        got = beta_profile(d, ms, 0.01, linalg.SELECT_MAGNITUDE, gram)
-        ref = _beta_reference(gram, d.column_labels(), ms, 0.01, linalg.SELECT_MAGNITUDE, d.columns.T)
+        got = beta_profile(d, ms, 0.01, gram)
+        ref = _beta_reference(gram, d.column_labels(), ms, 0.01, d.columns.T)
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize("k", [1, 5, 33, 70])
@@ -461,20 +458,20 @@ class TestBetaProfile:
         gram[atom, atom] = -1.0  # no ranking changes: a column never ranks itself
         first = int(np.flatnonzero((ranked == atom).any(axis=1))[0])
         with _tiny_chunks(), pytest.raises(NumericalError, match=f"sample {first}:"):
-            beta_profile(d, ms, 0.01, linalg.SELECT_MAGNITUDE, gram)
+            beta_profile(d, ms, 0.01, gram)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, -0.01, np.nan])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         _, d, _ = _problem(8, 6, 5, 3, 4)
         with pytest.raises(ConfigError, match="alpha"):
-            beta_profile(d, [2], alpha, linalg.SELECT_MAGNITUDE)
+            beta_profile(d, [2], alpha)
 
     def test_radicand_below_floor_raises(self):
         # |K(a0, a1)| = 10 > sqrt(K(a0, a0) K(a1, a1)) breaks Cauchy-Schwarz: the radicand is about -99
         d = Dictionary(np.eye(2), ((1, 0, 1), (2, 1, 1)), NORM_L2)
         gram = np.array([[1.0, 10.0], [10.0, 1.0]])
         with pytest.raises(NumericalError, match="sample 0: negative residual radicand"):
-            beta_profile(d, [2], 0.01, linalg.SELECT_MAGNITUDE, gram)
+            beta_profile(d, [2], 0.01, gram)
 
 
 class TestFeatureResiduals:

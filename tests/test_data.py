@@ -1,5 +1,8 @@
 """Dataset parsing, dictionary construction, cube IO, and mask splitting."""
 
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -20,6 +23,7 @@ from btckit import (
     save_label_map_pgm,
     split_by_mask,
 )
+from btckit import linalg
 from btckit.data import NORM_L2, NORM_RANGE
 from btckit.errors import DataFormatError
 
@@ -150,6 +154,22 @@ class TestScalingParams:
         assert np.all(np.isfinite(scaled))
         np.testing.assert_allclose(scaled[:, 0], 0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_apply_equals_the_two_step_formula_and_leaves_its_input(self, rng, dtype):
+        train = rng.normal(size=(30, 6)) * 5.0
+        train[:, 2] = 1.5  # a constant feature: span 1
+        sp = ScalingParams.fit(train)
+        samples = (rng.normal(size=(40, 6)) * 7.0).astype(dtype)
+        before = samples.copy()
+        got = sp.apply(samples)
+        span = np.where(sp.feat_max > sp.feat_min, sp.feat_max - sp.feat_min, 1.0)
+        ref = (np.asarray(samples, dtype=np.float64) - sp.feat_min) / span
+        assert got.dtype == np.float64
+        assert got.tobytes() == ref.tobytes()
+        assert samples.dtype == dtype and samples.tobytes() == before.tobytes()
+        # float64 input too: the result is a new array
+        assert not np.shares_memory(got, samples)
+
 
 class TestHsiCubeIO:
     def test_small_cube_f32(self, tmp_path):
@@ -176,6 +196,33 @@ class TestHsiCubeIO:
         payload.tofile(raw)
         with pytest.raises(DataFormatError, match="flat index 1"):
             load_hsi_cube(hdr, str(raw))
+
+    def test_non_finite_index_past_the_first_block(self, tmp_path):
+        hdr = _write(tmp_path / "c.hdr", "height=10\nwidth=10\nbands=3\ndtype=f32\n")
+        raw = tmp_path / "c.raw"
+        payload = np.zeros(300, dtype="<f4")
+        payload[[137, 138, 250]] = [np.nan, np.inf, -np.inf]
+        payload.tofile(raw)
+        # blocks of 4 values: the first bad value sits in the 35th block
+        with patch.object(linalg, "CHUNK_BYTES", 32), pytest.raises(DataFormatError, match="flat index 137$"):
+            load_hsi_cube(hdr, str(raw))
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_finiteness_check_holds_one_block(self, tmp_path, rng, dtype):
+        h, w, b = 64, 64, 50
+        hdr = _write(tmp_path / "c.hdr", f"height={h}\nwidth={w}\nbands={b}\ndtype={dtype}\n")
+        raw = tmp_path / "c.raw"
+        rng.normal(size=h * w * b).astype({"f32": "<f4", "f64": "<f8"}[dtype]).tofile(raw)
+        chunk = 1 << 15
+        with patch.object(linalg, "CHUNK_BYTES", chunk):
+            load_hsi_cube(hdr, str(raw))
+            tracemalloc.start()
+            try:
+                cube = load_hsi_cube(hdr, str(raw))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < cube.values.nbytes + chunk
 
     def test_unknown_dtype(self, tmp_path):
         hdr = _write(tmp_path / "c.hdr", "height=1\nwidth=1\nbands=1\ndtype=f16\n")

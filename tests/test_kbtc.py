@@ -1,7 +1,13 @@
 """Kernel classifier: RBF evaluation, caching, residuals, estimation."""
 
+import tracemalloc
+from contextlib import nullcontext
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from btckit import (
@@ -20,10 +26,10 @@ from btckit import (
     kernel_cache,
     kernel_matrix,
 )
-from btckit import kbtc
+from btckit import kbtc, linalg
 from btckit.data import NORM_L2, NORM_RANGE
-from btckit.errors import ConfigError
-from btckit.linalg import SELECT_RAW, beta_profile
+from btckit.errors import ConfigError, NumericalError
+from btckit.linalg import beta_profile
 from tests.conftest import make_rings, random_dictionary
 
 
@@ -86,6 +92,50 @@ class TestKernelEvaluation:
         with pytest.raises(ConfigError, match="unknown kernel"):
             KernelSpec(kind="poly")
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.integers(1, 20),
+        st.integers(1, 20),
+        st.booleans(),
+        st.booleans(),
+        st.one_of(st.none(), st.floats(2.0**-10, 30.0)),
+        st.booleans(),
+    )
+    def test_equals_the_whole_array_formula_bit_for_bit(self, seed, b, nx, ny, same, near, gamma, tiny):
+        rng = default_rng(seed)
+        X = rng.normal(size=(b, nx)) * 10.0 ** rng.integers(-2, 3)
+        Y = X if same else rng.normal(size=(b, ny)) * 10.0 ** rng.integers(-2, 3)
+        if near and not same:
+            # near-duplicate columns: the rounded distance can fall below 0 and is clamped
+            k = min(nx, ny)
+            Y[:, :k] = X[:, :k] * (1.0 + 1e-12 * rng.normal(size=(b, k)))
+        spec = KernelSpec(kind="linear") if gamma is None else KernelSpec(kind="rbf", gamma=gamma)
+        with patch.object(linalg, "CHUNK_BYTES", 1) if tiny else nullcontext():
+            got = kernel_matrix(X, Y, spec)
+        if gamma is None:
+            ref = X.T @ Y
+        else:
+            sq_x = np.sum(X * X, axis=0)[:, None]
+            sq_y = np.sum(Y * Y, axis=0)[None, :]
+            ref = np.exp(-gamma * np.maximum(sq_x + sq_y - 2.0 * (X.T @ Y), 0.0))
+            # every RBF value is >= 0, so ranking by |v| ranks by value
+            assert np.all(got >= 0.0)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kind", ["rbf", "linear"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_raises_in_any_row_block(self, kind, value):
+        rng = default_rng(41)
+        X, Y = rng.random((4, 6)), rng.random((4, 5))
+        # the last column of X gives the last row block: one row per block here
+        X[0, -1] = value
+        with patch.object(linalg, "CHUNK_BYTES", 1), np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match="non-finite kernel"):
+                kernel_matrix(X, Y, KernelSpec(kind=kind, gamma=0.5))
+
 
 class TestKernelCache:
     def test_slices_match_direct_recomputation(self, rng):
@@ -95,6 +145,21 @@ class TestKernelCache:
         idx = rng.choice(15, 5, replace=False)
         direct = kernel_matrix(d.columns[:, idx], d.columns[:, idx], spec)
         np.testing.assert_allclose(cache.gram[np.ix_(idx, idx)], direct, atol=1e-12)
+
+    def test_builds_one_gram_plus_a_chunk(self):
+        rng = default_rng(42)
+        n = 960
+        d = build_dictionary(rng.normal(size=(n, 200)), np.repeat(np.arange(1, 17), n // 16), NORM_RANGE)
+        spec = KernelSpec(kind="rbf", gamma=0.5)
+        kernel_cache(d, spec)
+        tracemalloc.start()
+        try:
+            kernel_cache(d, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the N x N result and about CHUNK_BYTES of work, no full-size temporaries
+        assert peak < n * n * 8 + (2 << 20)
 
     def test_gram_submatrices_psd(self):
         rng = default_rng(21)
@@ -362,7 +427,7 @@ class TestEstimation:
         gamma_hat, _, _, m_prof = kbtc_estimate_params(d, 1e-6, gamma_grid=[0.1, 1.0, 10.0])
         ms = list(range(2, d.n_features))
         gram = kernel_cache(d, KernelSpec(kind="rbf", gamma=gamma_hat)).gram
-        ref = beta_profile(d, ms, 1e-6, SELECT_RAW, gram).mean(axis=1)
+        ref = beta_profile(d, ms, 1e-6, gram).mean(axis=1)
         assert [m for m, _ in m_prof] == ms
         np.testing.assert_allclose([b for _, b in m_prof], ref, rtol=0, atol=1e-12)
 

@@ -78,10 +78,6 @@ class TestTopMSelect:
         sel = top_m_select(np.array([0.5, 0.5, 0.1]), 1)
         np.testing.assert_array_equal(sel, [0])
 
-    def test_raw_mode_keeps_sign(self):
-        sel = top_m_select(np.array([0.1, -0.9, 0.5]), 1, mode="raw")
-        np.testing.assert_array_equal(sel, [2])
-
     def test_matches_sort_oracle(self, rng):
         v = rng.normal(size=200)
         sel = top_m_select(v, 50)
