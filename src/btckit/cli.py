@@ -41,6 +41,7 @@ from btckit import (  # noqa: F401
 from btckit.data import (
     NORM_L2,
     NORM_RANGE,
+    _read_csv,
     load_label_map,
     save_label_map,
     save_label_map_pgm,
@@ -364,15 +365,10 @@ def _cmd_ensemble(args: argparse.Namespace) -> None:
 
 
 def _load_margins(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if ln.strip()]
-    try:
-        values = [float(ln) for ln in lines]
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: non-numeric margin") from exc
-    if not values:
+    values = _read_csv(path, np.float64, "non-numeric margin", width=1).ravel()
+    if not values.size:
         raise DataFormatError(f"{path}: no margins")
-    return np.asarray(values)
+    return values
 
 
 def _cmd_roc(args: argparse.Namespace) -> None:

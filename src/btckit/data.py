@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -118,58 +119,63 @@ def load_dense_dataset(features_path: str, labels_path: str) -> tuple[np.ndarray
     """Load a CSV feature matrix (one sample per row) and a labels file.
 
     A single header row is auto-detected when the first cell of the first
-    line is non-numeric. Returns (samples, labels) with samples shaped
-    (n_samples, n_features).
+    line is non-numeric. The labels file holds one integer per line. Both
+    are parsed line by line (:func:`_read_csv`), so parsing holds about the
+    result and not the files' text. Returns (samples, labels) with samples
+    shaped (n_samples, n_features).
     """
-    with open(features_path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines and _is_header(lines[0]):
-        lines = lines[1:]
-    if not lines:
+    samples = _read_csv(features_path, np.float64, "non-numeric cell", header=True)
+    if not samples.size:
         raise DataFormatError(f"{features_path}: no samples")
-    width = lines[0].count(",") + 1
-    for lineno, line in enumerate(lines, start=1):
-        n_cells = line.count(",") + 1
-        if n_cells != width:
-            raise DataFormatError(
-                f"{features_path}: ragged row at line {lineno} ({n_cells} cells, expected {width})"
-            )
-    try:
-        samples = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-    except ValueError as exc:
-        raise DataFormatError(f"{features_path}: non-numeric cell: {exc}") from exc
     bad = np.argwhere(~np.isfinite(samples))
     if bad.size:
         row, col = bad[0]
         raise DataFormatError(f"{features_path}: non-finite value at sample {row}, column {col}")
 
-    labels = []
-    with open(labels_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                labels.append(int(line))
-            except ValueError as exc:
-                raise DataFormatError(f"{labels_path}: non-integer label at line {lineno}") from exc
+    labels = _read_csv(labels_path, np.int64, "non-integer label", width=1).ravel()
     if len(labels) != samples.shape[0]:
-        raise DataFormatError(
-            f"label count {len(labels)} ≠ sample count {samples.shape[0]}"
-        )
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    if labels_arr.min() < 1:
-        raise DataFormatError(f"labels must be >= 1, got {labels_arr.min()}")
-    return samples, labels_arr
+        raise DataFormatError(f"label count {len(labels)} ≠ sample count {samples.shape[0]}")
+    if labels.min() < 1:
+        raise DataFormatError(f"labels must be >= 1, got {labels.min()}")
+    return samples, labels
 
 
-def _is_header(line: str) -> bool:
-    first = line.split(",")[0].strip()
-    try:
-        float(first)
-        return False
-    except ValueError:
-        return True
+def _read_csv(
+    path: str, dtype: type, bad_cell: str, width: int | None = None, header: bool = False
+) -> np.ndarray:
+    """Parse a CSV of numbers into a 2-D ``dtype`` array without holding the file's lines.
+
+    Stripped non-blank lines stream to ``np.loadtxt`` through a generator.
+    With ``header``, a first line whose first cell is non-numeric is dropped.
+    A line without ``width`` cells (default: the first line's count) is
+    reported by its number among the data lines; an unparsable cell with
+    ``bad_cell``. An input without data lines gives an array of no rows.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (ln for ln in map(str.strip, fh) if ln)
+        first = next(lines, None)
+        if header and first is not None:
+            try:
+                float(first.split(",")[0])
+            except ValueError:
+                first = next(lines, None)
+        if first is None:
+            return np.empty((0, width or 0), dtype=dtype)
+        expected = first.count(",") + 1 if width is None else width
+
+        def checked():
+            for lineno, line in enumerate(chain((first,), lines), start=1):
+                n_cells = line.count(",") + 1
+                if n_cells != expected:
+                    raise DataFormatError(
+                        f"{path}: ragged row at line {lineno} ({n_cells} cells, expected {expected})"
+                    )
+                yield line
+
+        try:
+            return np.loadtxt(checked(), delimiter=",", comments=None, ndmin=2, dtype=dtype)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {bad_cell}: {exc}") from exc
 
 
 def build_dictionary(
@@ -293,19 +299,10 @@ def _parse_header(path: str) -> dict[str, str]:
 
 
 def load_label_map(path: str) -> LabelMap:
-    """Load a label map stored as a CSV grid of integers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    try:
-        rows = [[int(c) for c in ln.split(",")] for ln in lines]
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: non-integer label") from exc
-    if not rows:
+    """Load a CSV grid of non-negative labels, parsed line by line into int64 (:func:`_read_csv`)."""
+    labels = _read_csv(path, np.int64, "non-integer label")
+    if not labels.size:
         raise DataFormatError(f"{path}: empty label map")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise DataFormatError(f"{path}: ragged label map rows")
-    labels = np.asarray(rows, dtype=np.int64)
     if labels.min() < 0:
         raise DataFormatError(f"{path}: negative label")
     return LabelMap(height=labels.shape[0], width=labels.shape[1], labels=labels)

@@ -66,7 +66,7 @@ def kernel_matrix(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     values by their signed size. The result is the only full-size array:
     X'Y is formed in it, then each row block of :func:`chunks` becomes
     kernel values in place, so a call holds the result plus about
-    CHUNK_BYTES of work. A non-finite value raises NumericalError.
+    CHUNK_BYTES of work. A non-finite value, or RBF column norm, raises NumericalError.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -74,6 +74,9 @@ def kernel_matrix(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:
         # before the result exists, so X * X and Y * Y do not add to its peak
         sq_x = np.sum(X * X, axis=0)
         sq_y = np.sum(Y * Y, axis=0)
+        # an infinite norm meeting X'Y = -inf gives exp(-inf) = 0, which the block check passes
+        if not (np.isfinite(sq_x).all() and np.isfinite(sq_y).all()):
+            raise NumericalError("non-finite kernel input: a squared column norm is not finite")
     out = X.T @ Y
     for sl in chunks(out.shape[0], out.shape[1]):
         block = out[sl]

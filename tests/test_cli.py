@@ -368,6 +368,15 @@ class TestOtherCommands:
         lines = (out / "roc.csv").read_text().splitlines()
         assert lines[0] == "tau,tpr,fpr"
         assert len(lines) == 12
+        # blank lines in a margins file are skipped
+        (tmp_path / "valid.txt").write_text("\n0.9\n\n0.8\n  \n0.7\n\n")
+        rc = main([
+            "roc", "--valid-margins", str(tmp_path / "valid.txt"),
+            "--invalid-margins", str(tmp_path / "invalid.txt"),
+            "--points", "11", "--output-dir", str(tmp_path / "roc_blank"),
+        ])
+        assert rc == 0
+        assert (tmp_path / "roc_blank" / "roc.csv").read_text().splitlines() == lines
 
     def test_non_numeric_margin_exit_code(self, tmp_path):
         (tmp_path / "valid.txt").write_text("0.9\nhigh\n")

@@ -5,6 +5,9 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.random import default_rng
 
 from btckit import (
@@ -33,13 +36,27 @@ def _write(path, text):
     return str(path)
 
 
+def _traced_peak(fn, *args):
+    """Run fn once untraced (imports, caches), then return (result, tracemalloc peak) of a second call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestLoadDenseDataset:
     def test_direct_parse(self, tmp_path):
         f = _write(tmp_path / "x.csv", "1,0\n0,1\n")
-        l = _write(tmp_path / "y.csv", "1\n2\n")
-        samples, labels = load_dense_dataset(f, l)
-        np.testing.assert_array_equal(samples, [[1, 0], [0, 1]])
-        np.testing.assert_array_equal(labels, [1, 2])
+        # blank lines in the labels file are skipped
+        for text in ("1\n2\n", "\n1\n\n  \n2\n\n"):
+            l = _write(tmp_path / "y.csv", text)
+            samples, labels = load_dense_dataset(f, l)
+            np.testing.assert_array_equal(samples, [[1, 0], [0, 1]])
+            np.testing.assert_array_equal(labels, [1, 2])
+            assert labels.dtype == np.int64 and labels.shape == (2,)
 
     def test_header_row_detected(self, tmp_path):
         f = _write(tmp_path / "x.csv", "a,b\n1,0\n0,1\n")
@@ -49,9 +66,26 @@ class TestLoadDenseDataset:
 
     def test_empty_labels(self, tmp_path):
         f = _write(tmp_path / "x.csv", "1,0\n0,1\n")
-        l = _write(tmp_path / "y.csv", "")
-        with pytest.raises(DataFormatError, match="label count 0"):
+        for text in ("", "\n \n\n"):
+            l = _write(tmp_path / "y.csv", text)
+            with pytest.raises(DataFormatError, match="label count 0"):
+                load_dense_dataset(f, l)
+
+    def test_labels_file_with_two_cells_on_a_line(self, tmp_path):
+        f = _write(tmp_path / "x.csv", "1,0\n0,1\n")
+        l = _write(tmp_path / "y.csv", "1\n2,1\n")
+        with pytest.raises(DataFormatError, match=r"ragged row at line 2 \(2 cells, expected 1\)"):
             load_dense_dataset(f, l)
+
+    def test_parse_peak_is_about_the_result(self, tmp_path, rng):
+        values = rng.normal(size=(2000, 200))
+        f = str(tmp_path / "x.csv")
+        np.savetxt(f, values, delimiter=",", fmt="%.6f")
+        l = _write(tmp_path / "y.csv", "3\n" * 2000)
+        (samples, labels), peak = _traced_peak(load_dense_dataset, f, l)
+        np.testing.assert_array_equal(samples, np.loadtxt(f, delimiter=","))
+        # the lines stream into the array: no copy of the file's text is held
+        assert peak < samples.nbytes + labels.nbytes + (1 << 20)
 
     def test_ragged_row(self, tmp_path):
         f = _write(tmp_path / "x.csv", "1,0\n1\n")
@@ -215,13 +249,7 @@ class TestHsiCubeIO:
         rng.normal(size=h * w * b).astype({"f32": "<f4", "f64": "<f8"}[dtype]).tofile(raw)
         chunk = 1 << 15
         with patch.object(linalg, "CHUNK_BYTES", chunk):
-            load_hsi_cube(hdr, str(raw))
-            tracemalloc.start()
-            try:
-                cube = load_hsi_cube(hdr, str(raw))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            cube, peak = _traced_peak(load_hsi_cube, hdr, str(raw))
         assert peak < cube.values.nbytes + chunk
 
     def test_unknown_dtype(self, tmp_path):
@@ -248,16 +276,37 @@ class TestHsiCubeIO:
 
 
 class TestLabelMapIO:
-    def test_round_trip(self, tmp_path):
-        lm = LabelMap(height=2, width=3, labels=np.array([[0, 1, 2], [2, 1, 0]]))
-        save_label_map(lm, str(tmp_path / "m.csv"))
-        back = load_label_map(str(tmp_path / "m.csv"))
-        np.testing.assert_array_equal(back.labels, lm.labels)
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arrays(np.int64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40), elements=st.integers(0, 20)))
+    def test_round_trip(self, tmp_path, labels):
+        lm = LabelMap(height=labels.shape[0], width=labels.shape[1], labels=labels)
+        path = tmp_path / "m.csv"
+        save_label_map(lm, str(path))
+        back = load_label_map(str(path))
+        assert (back.height, back.width) == labels.shape
+        assert back.labels.dtype == np.int64
+        np.testing.assert_array_equal(back.labels, labels)
+        # blank lines anywhere in the file are skipped
+        path.write_text("\n" + "\n\n".join(path.read_text().splitlines()) + "\n \n")
+        np.testing.assert_array_equal(load_label_map(str(path)).labels, labels)
 
     def test_non_integer_cell(self, tmp_path):
         (tmp_path / "m.csv").write_text("0,1\n2,1.5\n")
         with pytest.raises(DataFormatError, match="non-integer"):
             load_label_map(str(tmp_path / "m.csv"))
+
+    def test_ragged_row_names_its_line(self, tmp_path):
+        (tmp_path / "m.csv").write_text("0,1,2\n\n2,1,0\n1,1\n")
+        with pytest.raises(DataFormatError, match=r"ragged row at line 3 \(2 cells, expected 3\)"):
+            load_label_map(str(tmp_path / "m.csv"))
+
+    def test_parse_peak_is_about_the_result(self, tmp_path, rng):
+        lm = LabelMap(height=145, width=145, labels=rng.integers(0, 17, size=(145, 145)))
+        save_label_map(lm, str(tmp_path / "m.csv"))
+        back, peak = _traced_peak(load_label_map, str(tmp_path / "m.csv"))
+        np.testing.assert_array_equal(back.labels, lm.labels)
+        # no list of rows of Python ints beside the int64 result
+        assert peak < 1.5 * back.labels.nbytes
 
     def test_pgm_with_mapping(self, tmp_path):
         lm = LabelMap(height=1, width=2, labels=np.array([[1, 2]]))

@@ -136,6 +136,15 @@ class TestKernelEvaluation:
             with pytest.raises(NumericalError, match="non-finite kernel"):
                 kernel_matrix(X, Y, KernelSpec(kind=kind, gamma=0.5))
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_infinite_column_with_one_signed_product_raises(self, transposed):
+        # X'Y = -inf makes the squared distance +inf and exp(-inf) = 0, a finite value
+        X, Y = np.array([[np.inf], [0.0]]), np.array([[-1.0], [0.0]])
+        if transposed:
+            X, Y = Y, X
+        with pytest.raises(NumericalError, match="non-finite kernel"):
+            kernel_matrix(X, Y, KernelSpec(gamma=1.0))
+
 
 class TestKernelCache:
     def test_slices_match_direct_recomputation(self, rng):
