@@ -11,8 +11,6 @@ from btckit.data import (
     NORM_L2,
     NORM_RANGE,
     Dictionary,
-    HsiCube,
-    LabelMap,
     ScalingParams,
     build_dictionary,
     load_dense_dataset,

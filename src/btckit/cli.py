@@ -42,6 +42,7 @@ from btckit.data import (
     NORM_L2,
     NORM_RANGE,
     _read_csv,
+    _read_key_values,
     load_label_map,
     save_label_map,
     save_label_map_pgm,
@@ -59,6 +60,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_help()
             return 2
+        if args.seed < 0:  # checked after parsing, so a config-file seed is too
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         args.func(args)
         return 0
     except ConfigError as exc:
@@ -184,25 +187,18 @@ def _apply_config_file(argv: list[str], commands: dict[str, argparse.ArgumentPar
     actions = {
         a.dest: a for a in commands[argv[0]]._actions if a.dest not in ("help", "config")
     }
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: malformed line {lineno}")
-            key, _, value = line.partition("=")
-            action = actions.get(key.strip().replace("-", "_"))
-            if action is None:
-                raise ConfigError(f"{path}: unknown key {key.strip()!r}")
-            try:
-                value = (action.type or str)(value.strip())
-            except ValueError as exc:
-                raise ConfigError(f"{path}: bad value for {key.strip()!r} at line {lineno}") from exc
-            if action.choices is not None and value not in action.choices:
-                raise ConfigError(f"{path}: {key.strip()!r} must be one of {list(action.choices)}")
-            action.default = value
-            action.required = False
+    for lineno, key, value in _read_key_values(path, ConfigError):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"{path}: unknown key {key!r}")
+        try:
+            value = (action.type or str)(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad value for {key!r} at line {lineno}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"{path}: {key!r} must be one of {list(action.choices)}")
+        action.default = value
+        action.required = False
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -245,7 +241,7 @@ def _parse_gamma_grid(text: str) -> list[float]:
             hi = int(hi_s.partition("^")[2])
             return [base**e for e in range(lo, hi + 1)]
         return [term(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:  # ArithmeticError: 2^5000, 0^-1
         raise ConfigError(f"malformed gamma grid {text!r}") from exc
 
 
@@ -343,7 +339,7 @@ def _cmd_classify_hsi(args: argparse.Namespace) -> None:
     rows, cols = test_rc.T
     for name, label_map in (("pixelwise", pixelwise), ("smoothed", final)):
         report = evaluate(
-            label_map.labels[rows, cols],
+            label_map[rows, cols],
             test_labels,
             elapsed_s=elapsed,
             config=_resolved_config(args),

@@ -10,12 +10,13 @@ set only and reapplied to test samples without clamping.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import chain
 
 import numpy as np
 
-from btckit.errors import ConfigError, DataFormatError
+from btckit.errors import BtckitError, ConfigError, DataFormatError
 
 NORM_L2 = "l2"
 NORM_RANGE = "range"
@@ -91,30 +92,6 @@ class Dictionary:
         return labels
 
 
-@dataclass(frozen=True)
-class HsiCube:
-    """Height x width x bands image cube with finite values.
-
-    ``values`` is (height, width, bands) in any real float dtype; a loaded
-    cube keeps its raw file's dtype. Consumers widen to float64 only the
-    rows they are about to use.
-    """
-
-    height: int
-    width: int
-    bands: int
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class LabelMap:
-    """Integer label grid; 0 means unlabeled."""
-
-    height: int
-    width: int
-    labels: np.ndarray  # (height, width) int64
-
-
 def load_dense_dataset(features_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load a CSV feature matrix (one sample per row) and a labels file.
 
@@ -148,34 +125,55 @@ def _read_csv(
     Stripped non-blank lines stream to ``np.loadtxt`` through a generator.
     With ``header``, a first line whose first cell is non-numeric is dropped.
     A line without ``width`` cells (default: the first line's count) is
-    reported by its number among the data lines; an unparsable cell with
-    ``bad_cell``. An input without data lines gives an array of no rows.
+    reported by its number among the data lines, an unparsable cell with
+    ``bad_cell``, and bytes that are not UTF-8 as such. An input without data
+    lines gives an array of no rows.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = (ln for ln in map(str.strip, fh) if ln)
-        first = next(lines, None)
-        if header and first is not None:
-            try:
-                float(first.split(",")[0])
-            except ValueError:
-                first = next(lines, None)
-        if first is None:
-            return np.empty((0, width or 0), dtype=dtype)
-        expected = first.count(",") + 1 if width is None else width
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = (ln for ln in map(str.strip, fh) if ln)
+            first = next(lines, None)
+            if header and first is not None:
+                try:
+                    float(first.split(",")[0])
+                except ValueError:
+                    first = next(lines, None)
+            if first is None:
+                return np.empty((0, width or 0), dtype=dtype)
+            expected = first.count(",") + 1 if width is None else width
 
-        def checked():
-            for lineno, line in enumerate(chain((first,), lines), start=1):
-                n_cells = line.count(",") + 1
-                if n_cells != expected:
-                    raise DataFormatError(
-                        f"{path}: ragged row at line {lineno} ({n_cells} cells, expected {expected})"
-                    )
-                yield line
+            def checked():
+                for lineno, line in enumerate(chain((first,), lines), start=1):
+                    n_cells = line.count(",") + 1
+                    if n_cells != expected:
+                        raise DataFormatError(
+                            f"{path}: ragged row at line {lineno} ({n_cells} cells, expected {expected})"
+                        )
+                    yield line
 
-        try:
             return np.loadtxt(checked(), delimiter=",", comments=None, ndmin=2, dtype=dtype)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: {bad_cell}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {bad_cell}: {exc}") from exc
+
+
+def _read_key_values(path: str, error: type[BtckitError]) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) of each ``key=value`` line of a UTF-8 file, skipping blank and
+    ``#`` lines; a file that is not UTF-8 or a line without ``=`` raises ``error``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise error(f"{path}: malformed line {lineno}")
+        key, _, value = line.partition("=")
+        yield lineno, key.strip(), value.strip()
 
 
 def build_dictionary(
@@ -231,13 +229,14 @@ def build_dictionary(
     )
 
 
-def load_hsi_cube(header_path: str, raw_path: str) -> HsiCube:
-    """Load a cube from a key-value header and a little-endian BSQ raw file.
+def load_hsi_cube(header_path: str, raw_path: str) -> np.ndarray:
+    """Load an (H, W, B) cube from a key-value header and a little-endian BSQ raw file.
 
-    ``values`` keeps the file's dtype (float32 for ``f32``, float64 for
-    ``f64``) as a band-sequential view; it is not widened here.
+    Every value is finite. The array is a band-sequential view in the file's
+    dtype (float32 for ``f32``, float64 for ``f64``); it is not widened here,
+    and consumers widen to float64 one chunk at a time.
     """
-    keys = _parse_header(header_path)
+    keys = {key: value for _, key, value in _read_key_values(header_path, DataFormatError)}
     for required in ("height", "width", "bands", "dtype"):
         if required not in keys:
             raise DataFormatError(f"{header_path}: missing key {required!r}")
@@ -269,66 +268,53 @@ def load_hsi_cube(header_path: str, raw_path: str) -> HsiCube:
         if not finite.all():
             first = sl.start + int(np.argmin(finite))
             raise DataFormatError(f"{raw_path}: non-finite value at flat index {first}")
-    values = flat.reshape(bands, height, width).transpose(1, 2, 0)
-    return HsiCube(height=height, width=width, bands=bands, values=values)
+    return flat.reshape(bands, height, width).transpose(1, 2, 0)
 
 
-def save_hsi_cube(cube: HsiCube, header_path: str, raw_path: str, dtype: str = "f64") -> None:
-    """Write a cube as header + little-endian BSQ raw binary."""
+def save_hsi_cube(cube: np.ndarray, header_path: str, raw_path: str, dtype: str = "f64") -> None:
+    """Write an (H, W, B) cube as header + little-endian BSQ raw binary."""
     if dtype not in _DTYPES:
         raise ConfigError(f"unknown dtype {dtype!r}")
     with open(header_path, "w", encoding="utf-8") as fh:
-        fh.write(f"height={cube.height}\nwidth={cube.width}\nbands={cube.bands}\n")
+        height, width, bands = cube.shape
+        fh.write(f"height={height}\nwidth={width}\nbands={bands}\n")
         fh.write(f"dtype={dtype}\norder=bsq\n")
-    bsq = cube.values.transpose(2, 0, 1).astype(_DTYPES[dtype])
+    bsq = cube.transpose(2, 0, 1).astype(_DTYPES[dtype])
     bsq.tofile(raw_path)
 
 
-def _parse_header(path: str) -> dict[str, str]:
-    keys: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataFormatError(f"{path}: malformed header line {lineno}")
-            key, _, value = line.partition("=")
-            keys[key.strip()] = value.strip()
-    return keys
-
-
-def load_label_map(path: str) -> LabelMap:
-    """Load a CSV grid of non-negative labels, parsed line by line into int64 (:func:`_read_csv`)."""
+def load_label_map(path: str) -> np.ndarray:
+    """Load a CSV grid of non-negative labels (0 means unlabeled) as an (H, W) int64
+    array, parsed line by line (:func:`_read_csv`)."""
     labels = _read_csv(path, np.int64, "non-integer label")
     if not labels.size:
         raise DataFormatError(f"{path}: empty label map")
     if labels.min() < 0:
         raise DataFormatError(f"{path}: negative label")
-    return LabelMap(height=labels.shape[0], width=labels.shape[1], labels=labels)
+    return labels
 
 
-def save_label_map(label_map: LabelMap, path: str) -> None:
+def save_label_map(labels: np.ndarray, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        rows = label_map.labels.astype(np.int64, copy=False).tolist()
+        rows = labels.astype(np.int64, copy=False).tolist()
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def save_label_map_pgm(label_map: LabelMap, path: str, mapping_path: str) -> None:
-    """Write a class map as plain PGM (P2) plus a class-to-gray mapping file."""
-    n = int(label_map.labels.max())
+def save_label_map_pgm(labels: np.ndarray, path: str, mapping_path: str) -> None:
+    """Write an (H, W) class map as plain PGM (P2) plus a class-to-gray mapping file."""
+    n = int(labels.max())
     grays = np.array([0] + [int(round(255 * cid / max(n, 1))) for cid in range(1, n + 1)])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"P2\n{label_map.width} {label_map.height}\n255\n")
-        fh.writelines(" ".join(map(str, row)) + "\n" for row in grays[label_map.labels].tolist())
+        fh.write(f"P2\n{labels.shape[1]} {labels.shape[0]}\n255\n")
+        fh.writelines(" ".join(map(str, row)) + "\n" for row in grays[labels].tolist())
     with open(mapping_path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{cid}={g}\n" for cid, g in enumerate(grays.tolist()))
 
 
 def split_by_mask(
-    cube: HsiCube,
-    gt: LabelMap,
-    train_mask: LabelMap,
+    cube: np.ndarray,
+    gt: np.ndarray,
+    train_mask: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Split cube pixels into training and test sets by a label mask.
 
@@ -337,27 +323,27 @@ def split_by_mask(
     train_labels, test_labels, test_rc): training samples in row form, and
     the test pixels' (row, column) coordinates as an (n, 2) int64 array in
     row-major order. Training samples are float64 whatever the cube's dtype.
-    Test samples are not gathered; ``cube.values`` at ``test_rc`` holds them.
+    Test samples are not gathered; ``cube`` at ``test_rc`` holds them.
     """
-    if (gt.height, gt.width) != (cube.height, cube.width):
+    if gt.shape != cube.shape[:2]:
         raise DataFormatError("ground truth dims do not match cube")
-    if (train_mask.height, train_mask.width) != (cube.height, cube.width):
+    if train_mask.shape != cube.shape[:2]:
         raise DataFormatError("train mask dims do not match cube")
 
-    disagree = (train_mask.labels > 0) & (train_mask.labels != gt.labels)
+    disagree = (train_mask > 0) & (train_mask != gt)
     if np.any(disagree):
         r, c = np.argwhere(disagree)[0]
         raise DataFormatError(f"train/gt label disagreement at ({r},{c})")
-    if not np.any(gt.labels > 0):
+    if not np.any(gt > 0):
         raise DataFormatError("no labeled pixels")
 
-    train_rc = np.argwhere(train_mask.labels > 0)
-    test_rc = np.argwhere((gt.labels > 0) & (train_mask.labels == 0))
-    train_samples = cube.values[train_rc[:, 0], train_rc[:, 1]].astype(np.float64, copy=False)
-    train_labels = gt.labels[train_rc[:, 0], train_rc[:, 1]]
-    test_labels = gt.labels[test_rc[:, 0], test_rc[:, 1]]
+    train_rc = np.argwhere(train_mask > 0)
+    test_rc = np.argwhere((gt > 0) & (train_mask == 0))
+    train_samples = cube[train_rc[:, 0], train_rc[:, 1]].astype(np.float64, copy=False)
+    train_labels = gt[train_rc[:, 0], train_rc[:, 1]]
+    test_labels = gt[test_rc[:, 0], test_rc[:, 1]]
 
-    present = set(np.unique(gt.labels[gt.labels > 0]).tolist())
+    present = set(np.unique(gt[gt > 0]).tolist())
     trained = set(np.unique(train_labels).tolist())
     missing = present - trained
     if missing:
@@ -366,17 +352,17 @@ def split_by_mask(
     return train_samples, train_labels, test_labels, test_rc
 
 
-def render_block_mask(gt: LabelMap, blocks: list[tuple[int, int, int, int, int]]) -> LabelMap:
-    """Render (class_id, row, col, height, width) block specs into a training mask.
+def render_block_mask(gt: np.ndarray, blocks: list[tuple[int, int, int, int, int]]) -> np.ndarray:
+    """Render (class_id, row, col, height, width) block specs into a training mask like ``gt``.
 
     Every pixel inside a block must carry the block's class in the ground
     truth; unlabeled pixels inside a block are skipped.
     """
-    mask = np.zeros_like(gt.labels)
+    mask = np.zeros_like(gt)
     for cid, row, col, h, w in blocks:
-        patch = gt.labels[row : row + h, col : col + w]
+        patch = gt[row : row + h, col : col + w]
         sel = patch == cid
         if not np.any(sel):
             raise DataFormatError(f"block at ({row},{col}) contains no class-{cid} pixels")
         mask[row : row + h, col : col + w][sel] = cid
-    return LabelMap(height=gt.height, width=gt.width, labels=mask)
+    return mask

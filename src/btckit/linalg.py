@@ -13,7 +13,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from btckit.data import Dictionary, HsiCube, NORM_L2
+from btckit.data import Dictionary, NORM_L2
 from btckit.errors import ConfigError, NumericalError
 
 # Batches reach the core in chunks of about this many bytes of float64 work
@@ -312,8 +312,8 @@ def beta_profile(
     return out
 
 
-def pca_first_component(cube: HsiCube) -> np.ndarray:
-    """First principal component image of a cube, min-max normalized to [0, 1].
+def pca_first_component(cube: np.ndarray) -> np.ndarray:
+    """First principal component image of an H x W x B cube, min-max normalized to [0, 1].
 
     The component is the top eigenvector of the band covariance
     (``np.linalg.eigh``); its sign is fixed so the component correlates
@@ -323,11 +323,11 @@ def pca_first_component(cube: HsiCube) -> np.ndarray:
     or widened copy of the whole cube is formed and the work memory stays
     bounded.
     """
-    h, w, b = cube.height, cube.width, cube.bands
+    h, w, b = cube.shape
     blocks = list(chunks(h, w * b))
 
     def pixels(sl: slice) -> np.ndarray:
-        return np.asarray(cube.values[sl].reshape(-1, b), dtype=np.float64)
+        return np.asarray(cube[sl].reshape(-1, b), dtype=np.float64)
 
     total, lo, hi = np.zeros(b), np.full(b, np.inf), np.full(b, -np.inf)
     for sl in blocks:

@@ -16,7 +16,7 @@ import numpy as np
 
 # btc_classify stays bound here: the benchmark's tracer test looks it up in this module
 from btckit.btc import BtcParams, btc_classify, btc_residuals  # noqa: F401
-from btckit.data import Dictionary, HsiCube, LabelMap
+from btckit.data import Dictionary
 from btckit.errors import BtckitError, ConfigError, NumericalError
 from btckit.kbtc import KbtcParams, kbtc_residuals, kernel_cache
 from btckit.linalg import min_max, pca_first_component
@@ -29,40 +29,40 @@ if TYPE_CHECKING:
 # Largest drift of a smoothed layer's sum, relative to the layer's absolute
 # sum, that wls_smooth accepts as rounding
 WLS_SUM_TOL = 1e-8
+# Gradient floor of the WLS edge weights (|grad g|^alpha_wls + WLS_EPS)^-1
+WLS_EPS = 1e-4
 
 
 @dataclass(frozen=True)
 class WlsParams:
-    """Smoothing degree lambda, gradient exponent, and gradient floor."""
+    """Smoothing degree lambda and gradient exponent."""
 
     lam: float = 0.4
     alpha_wls: float = 0.9
-    eps_wls: float = 1e-4
 
     def __post_init__(self) -> None:
         if not 0 <= self.lam < np.inf:
             raise ConfigError("lambda must be finite and >= 0")
-        if not (0 < self.alpha_wls < np.inf and 0 < self.eps_wls < np.inf):
-            raise ConfigError("alpha_wls and eps_wls must be finite and positive")
+        if not 0 < self.alpha_wls < np.inf:
+            raise ConfigError("alpha_wls must be finite and positive")
 
 
 def build_residual_cube(
-    cube: HsiCube,
+    cube: np.ndarray,
     dictionary: Dictionary,
     params: BtcParams | KbtcParams,
-) -> tuple[np.ndarray, LabelMap]:
-    """Classify every pixel and stack the residual vectors into an H x W x C cube.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classify every pixel of an H x W x B cube; stack the residuals into an H x W x C cube.
 
     BTC is used for :class:`BtcParams`, KBTC for :class:`KbtcParams` (on the
     dictionary's kernel cache, built here); the whole cube goes through one
     batch call, which widens the pixels to float64 one chunk at a time. The
     whole cube is min-max normalized to [0, 1] with one scale, so residuals
-    stay comparable across layers. Also returns the pixel-wise
-    class map. A pixel that fails raises NumericalError naming its (row,
-    column).
+    stay comparable across layers. Also returns the pixel-wise (H, W) class
+    map. A pixel that fails raises NumericalError naming its (row, column).
     """
-    h, w = cube.height, cube.width
-    pixels = cube.values.reshape(h * w, cube.bands)
+    h, w, bands = cube.shape
+    pixels = cube.reshape(h * w, bands)
     try:
         if isinstance(params, KbtcParams):
             flat = kbtc_residuals(dictionary, pixels, params, kernel_cache(dictionary, params.spec))
@@ -76,15 +76,15 @@ def build_residual_cube(
     # np.argmin returns the first minimum: lowest class id on ties
     classmap = np.argmin(flat, axis=1).reshape(h, w) + 1
     residuals = min_max(flat.reshape(h, w, dictionary.n_classes))
-    return residuals, LabelMap(height=h, width=w, labels=classmap)
+    return residuals, classmap
 
 
-def mask_by_classmap(residuals: np.ndarray, classmap: LabelMap) -> np.ndarray:
+def mask_by_classmap(residuals: np.ndarray, classmap: np.ndarray) -> np.ndarray:
     """Set layer i of a normalized H x W x C cube to the maximum residual 1
-    wherever the pixel label is not i."""
-    if classmap.labels.shape != residuals.shape[:2]:
+    wherever the (H, W) class map's label is not i."""
+    if classmap.shape != residuals.shape[:2]:
         raise ConfigError("class map dims do not match cube")
-    own = classmap.labels[:, :, None] == np.arange(1, residuals.shape[2] + 1)
+    own = classmap[:, :, None] == np.arange(1, residuals.shape[2] + 1)
     return np.where(own, residuals, 1.0)
 
 
@@ -108,7 +108,7 @@ def wls_smooth(
     """Edge-preserving smoothing: solve (I + lambda * L_g) u = image.
 
     ``image`` is H x W or an H x W x C stack of layers. L_g is the 4-neighbor
-    graph Laplacian with weights (|grad g|^alpha_wls + eps_wls)^-1 on
+    graph Laplacian with weights (|grad g|^alpha_wls + WLS_EPS)^-1 on
     guidance gradients, Neumann boundaries. The system is factored once by
     sparse LU and every layer is solved exactly against that factor.
     """
@@ -156,7 +156,7 @@ def _guidance_laplacian(guidance: np.ndarray, params: WlsParams) -> scipy.sparse
     rows, cols, vals = [], [], []
 
     def add_edges(a_idx, b_idx, grad):
-        weight = 1.0 / (np.abs(grad) ** params.alpha_wls + params.eps_wls)
+        weight = 1.0 / (np.abs(grad) ** params.alpha_wls + WLS_EPS)
         a = a_idx.ravel()
         b = b_idx.ravel()
         wgt = weight.ravel()
@@ -175,25 +175,25 @@ def _guidance_laplacian(guidance: np.ndarray, params: WlsParams) -> scipy.sparse
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(h * w, h * w))
 
 
-def decide_from_cube(residuals: np.ndarray) -> LabelMap:
-    """Per-pixel argmin over the layers of an H x W x C cube; ties resolve to the lowest class id."""
-    labels = np.argmin(residuals, axis=2).astype(np.int64) + 1
-    return LabelMap(height=residuals.shape[0], width=residuals.shape[1], labels=labels)
+def decide_from_cube(residuals: np.ndarray) -> np.ndarray:
+    """(H, W) class map of the per-pixel argmin over the layers of an H x W x C
+    cube; ties resolve to the lowest class id."""
+    return np.argmin(residuals, axis=2).astype(np.int64) + 1
 
 
 def spatial_spectral_classify(
-    cube: HsiCube,
+    cube: np.ndarray,
     dictionary: Dictionary,
     params: BtcParams | KbtcParams,
     smoothing: str = "wls",
     window: int = 5,
     wls_params: WlsParams | None = None,
-) -> tuple[LabelMap, LabelMap]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Full pipeline: residual cube, masking, smoothing, final decision.
 
     ``smoothing`` is one of none/box/wls. WLS is guided by the first
-    principal component of the cube. Returns (smoothed class map,
-    pixel-wise class map).
+    principal component of the cube. Returns the (H, W) smoothed
+    and pixel-wise class maps.
     """
     residuals, pixelwise = build_residual_cube(cube, dictionary, params)
     residuals = mask_by_classmap(residuals, pixelwise)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from btckit import HsiCube, LabelMap, build_dictionary
+from btckit import build_dictionary
 from btckit.data import NORM_L2
 
 
@@ -52,7 +52,10 @@ def random_dictionary(rng, b=10, n=30, n_classes=3, norm_mode=NORM_L2):
 
 
 def make_blocky_scene(seed, sigma, h=60, w=60, bands=20):
-    """Noisy 4-class scene with blocky regions and fixed spectral signatures."""
+    """Noisy 4-class scene with blocky regions and fixed spectral signatures.
+
+    Returns the (h, w, bands) cube and the (h, w) int64 ground truth.
+    """
     rng = default_rng(41)
     sigs = rng.uniform(0.2, 1.0, (4, bands))
     gt = np.zeros((h, w), dtype=np.int64)
@@ -65,20 +68,18 @@ def make_blocky_scene(seed, sigma, h=60, w=60, bands=20):
     gt[40:52, 8:22] = 2
     gt[44:56, 38:50] = 1
     noise = default_rng(seed).normal(0, sigma, (h, w, bands))
-    values = sigs[gt - 1] + noise
-    cube = HsiCube(height=h, width=w, bands=bands, values=values)
-    return cube, LabelMap(height=h, width=w, labels=gt)
+    return sigs[gt - 1] + noise, gt
 
 
 def make_train_mask(gt, n_per_class, seed):
     """Random per-class training mask over a fully labeled ground truth."""
     rng = default_rng(seed)
-    mask = np.zeros_like(gt.labels)
-    for c in np.unique(gt.labels[gt.labels > 0]):
-        rr, cc = np.where(gt.labels == c)
+    mask = np.zeros_like(gt)
+    for c in np.unique(gt[gt > 0]):
+        rr, cc = np.where(gt == c)
         pick = rng.choice(len(rr), n_per_class, replace=False)
         mask[rr[pick], cc[pick]] = c
-    return LabelMap(height=gt.height, width=gt.width, labels=mask)
+    return mask
 
 
 @pytest.fixture

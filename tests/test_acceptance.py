@@ -248,10 +248,10 @@ def test_criterion_8_spatial_spectral_gain():
     final_box, _ = spatial_spectral_classify(cube, d, params, smoothing="box", window=5)
     elapsed = time.perf_counter() - start
 
-    sel = (mask.labels == 0) & (gt.labels > 0)
-    oa_spec = float(np.mean(pixelwise.labels[sel] == gt.labels[sel]))
-    oa_wls = float(np.mean(final_wls.labels[sel] == gt.labels[sel]))
-    oa_box = float(np.mean(final_box.labels[sel] == gt.labels[sel]))
+    sel = (mask == 0) & (gt > 0)
+    oa_spec = float(np.mean(pixelwise[sel] == gt[sel]))
+    oa_wls = float(np.mean(final_wls[sel] == gt[sel]))
+    oa_box = float(np.mean(final_box[sel] == gt[sel]))
     ok = (
         0.6 <= oa_spec <= 0.85
         and oa_wls >= oa_spec + 0.05

@@ -10,9 +10,9 @@ import pytest
 from numpy.random import default_rng
 
 import btckit
-from btckit import HsiCube, build_dictionary, kbtc_estimate_params, load_hsi_cube, save_hsi_cube
+from btckit import build_dictionary, kbtc_estimate_params, load_hsi_cube, save_hsi_cube
 from btckit.cli import _parse_gamma_grid, main
-from btckit.data import NORM_RANGE, save_label_map, LabelMap
+from btckit.data import NORM_RANGE, save_label_map
 from btckit.errors import ConfigError
 from tests.conftest import make_blobs, make_blocky_scene, make_train_mask
 
@@ -49,6 +49,17 @@ class TestParseGammaGrid:
     def test_malformed_term(self):
         with pytest.raises(ConfigError, match="malformed gamma grid"):
             _parse_gamma_grid("0.5,abc")
+
+    @pytest.mark.parametrize("grid", ["2^5000", "2^1..2^5000", "10^400", "0^-1"])
+    def test_out_of_range_arithmetic_exit_code(self, tmp_path, capsys, grid):
+        with pytest.raises(ConfigError, match="malformed gamma grid"):
+            _parse_gamma_grid(grid)
+        x, y = make_blobs(5, 2, 4, 0, 0.5)
+        tr_x, tr_y = _write_dense(tmp_path, "tr", x, y)
+        argv = ["estimate-kbtc", "--train", tr_x, "--train-labels", tr_y, "--gamma-grid", grid]
+        assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "malformed gamma grid" in err and "Traceback" not in err
 
 
 class TestClassifyCommand:
@@ -190,6 +201,24 @@ class TestConfigFile:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["ensemble", "synth-recovery"])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_negative_seed_exit_code(self, blob_files, tmp_path, capsys, command, from_config):
+        (tr_x, tr_y), (te_x, te_y) = blob_files
+        argv = [command, "--output-dir", str(tmp_path / "out")]
+        if command == "ensemble":
+            argv += ["--train", tr_x, "--train-labels", tr_y, "--test", te_x, "--test-labels", te_y,
+                     "--b", "6", "--m", "3"]
+        if from_config:
+            (tmp_path / "run.cfg").write_text("seed=-1\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        else:
+            argv += ["--seed", "-5"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--seed must be >= 0" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_rejected(self, blob_files, tmp_path):
         (tr_x, tr_y), (te_x, te_y) = blob_files
         cfg = tmp_path / "run.cfg"
@@ -306,8 +335,7 @@ class TestHsiCommand:
     @pytest.mark.parametrize("classifier", ["btc", "kbtc"])
     def test_f32_and_f64_files_of_the_same_values_write_identical_maps(self, tmp_path, classifier):
         args, _, _ = _hsi_files(tmp_path)
-        cube = load_hsi_cube(args[2], args[4])
-        cube = HsiCube(cube.height, cube.width, cube.bands, cube.values.astype(np.float32))
+        cube = load_hsi_cube(args[2], args[4]).astype(np.float32)
         for dtype in ("f32", "f64"):
             hdr, raw = str(tmp_path / f"{dtype}.hdr"), str(tmp_path / f"{dtype}.raw")
             save_hsi_cube(cube, hdr, raw, dtype=dtype)
@@ -322,11 +350,11 @@ class TestHsiCommand:
         args, gt, mask = _hsi_files(tmp_path)
         out = tmp_path / "hsi"
         assert main(args + ["--smoothing", "none", "--output-dir", str(out)]) == 0
-        test = (gt.labels > 0) & (mask.labels == 0)
+        test = (gt > 0) & (mask == 0)
         pixelwise = np.loadtxt(out / "classmap_pixelwise.csv", delimiter=",", dtype=np.int64)
         report = json.loads((out / "report_pixelwise.json").read_text())
-        assert np.sum(report["confusion"]) == test.sum() < (gt.labels > 0).sum()
-        assert report["oa"] == pytest.approx(np.mean(pixelwise[test] == gt.labels[test]))
+        assert np.sum(report["confusion"]) == test.sum() < (gt > 0).sum()
+        assert report["oa"] == pytest.approx(np.mean(pixelwise[test] == gt[test]))
 
     def test_wls_losing_identity_term_exit_code(self, tmp_path):
         args, _, _ = _hsi_files(tmp_path)
@@ -338,6 +366,29 @@ class TestHsiCommand:
         with open(tmp_path / "gt.csv", "a", encoding="utf-8") as fh:
             fh.write("1,x\n")
         assert main(args + ["--output-dir", str(tmp_path / "hsi")]) == 3
+
+
+class TestNotUtf8Input:
+    """A byte that is not UTF-8 in an input file is an error of that input."""
+
+    @pytest.mark.parametrize("target, code", [("csv", 3), ("cube header", 3), ("config", 2)])
+    def test_exit_code_names_the_file(self, tmp_path, capsys, target, code):
+        x, y = make_blobs(5, 2, 4, 0, 0.5)
+        tr_x, tr_y = _write_dense(tmp_path, "tr", x, y)
+        if target == "csv":
+            bad = tr_x
+            argv = ["coherence", "--train", tr_x, "--train-labels", tr_y]
+        elif target == "cube header":
+            argv, _, _ = _hsi_files(tmp_path)
+            bad = argv[2]
+        else:
+            bad = str(tmp_path / "run.cfg")
+            argv = ["estimate-btc", "--train", tr_x, "--train-labels", tr_y, "--config", bad]
+        with open(bad, "ab") as fh:
+            fh.write(b"# caf\xe9\n" if target != "csv" else b"0,\xe9,1,2\n")
+        assert main(argv + ["--output-dir", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text" in err and "Traceback" not in err
 
 
 class TestOtherCommands:

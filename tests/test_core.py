@@ -13,7 +13,6 @@ from numpy.random import default_rng
 from btckit import (
     BtcParams,
     Dictionary,
-    HsiCube,
     KbtcParams,
     KernelCache,
     KernelSpec,
@@ -125,15 +124,15 @@ class TestBatchEqualsSingle:
 
     def test_kbtc_cube_scales_raw_pixels(self):
         rng, d, m = _problem(5, 6, 5, 3, 4, norm_mode=NORM_RANGE)
-        cube = HsiCube(height=3, width=4, bands=6, values=rng.normal(size=(3, 4, 6)))
+        cube = rng.normal(size=(3, 4, 6))
         spec = KernelSpec(kind="rbf", gamma=0.7)
         params = KbtcParams(m=m, alpha=1e-4, spec=spec)
         with _tiny_chunks():
             _, classmap = build_residual_cube(cube, d, params)
-        pixels = d.scaling.apply(cube.values.reshape(12, 6))
+        pixels = d.scaling.apply(cube.reshape(12, 6))
         cache = kernel_cache(d, spec)
         single = [kbtc_classify(d, y, params, cache)[0].predicted_class for y in pixels]
-        np.testing.assert_array_equal(classmap.labels.ravel(), single)
+        np.testing.assert_array_equal(classmap.ravel(), single)
 
     def test_kbtc_beta_profile(self):
         _, d, _ = _problem(7, 5, 6, 2, 3, norm_mode=NORM_RANGE)
@@ -154,7 +153,7 @@ def _float32_cube(seed, h, w, b):
     """A float32 cube in the band-sequential layout load_hsi_cube returns, and its float64 twin."""
     values = default_rng(seed).uniform(0.1, 1.0, size=(b, h, w)).astype(np.float32).transpose(1, 2, 0)
     # astype keeps the band-sequential strides, as widening the raw file up front did
-    return HsiCube(h, w, b, values), HsiCube(h, w, b, values.astype(np.float64))
+    return values, values.astype(np.float64)
 
 
 def _cube_params(bands, kind):
@@ -170,18 +169,18 @@ class TestFloat32Cube:
     @pytest.mark.parametrize("kind", ["btc", "kbtc"])
     def test_residual_cube_equals_widened_cube_bit_for_bit(self, kind):
         cube32, cube64 = _float32_cube(9, 6, 7, 12)
-        d, params = _cube_params(cube32.bands, kind)
+        d, params = _cube_params(cube32.shape[2], kind)
         with _tiny_chunks():
             r32, map32 = build_residual_cube(cube32, d, params)
             r64, map64 = build_residual_cube(cube64, d, params)
         np.testing.assert_array_equal(r32, r64)
-        np.testing.assert_array_equal(map32.labels, map64.labels)
+        np.testing.assert_array_equal(map32, map64)
 
     @pytest.mark.parametrize("kind", ["btc", "kbtc"])
     def test_memory_below_the_widened_cube(self, kind):
         cube32, _ = _float32_cube(10, 64, 64, 100)
-        d, params = _cube_params(cube32.bands, kind)
-        widened = cube32.values.size * 8
+        d, params = _cube_params(cube32.shape[2], kind)
+        widened = cube32.size * 8
         with patch.object(linalg, "CHUNK_BYTES", 1 << 15):
             tracemalloc.start()
             try:
@@ -285,8 +284,7 @@ class TestNumericalPolicy:
         d = build_dictionary(train, [1, 1, 1, 2, 2, 2], NORM_RANGE)
         spec = KernelSpec(kind="rbf", gamma=1.0)
         params = KbtcParams(m=1, alpha=1e-6, spec=spec)
-        values = train[[0, 1, 2, 3, 5, 4]].reshape(2, 3, 5)  # atom 4 sits at pixel (1,2)
-        cube = HsiCube(height=2, width=3, bands=5, values=values)
+        cube = train[[0, 1, 2, 3, 5, 4]].reshape(2, 3, 5)  # atom 4 sits at pixel (1,2)
         forged = _forged_cache(d, spec, 4)
         monkeypatch.setattr(spatial, "kernel_cache", lambda *_: forged)
         with pytest.raises(NumericalError, match=r"pixel \(1,2\)"):

@@ -12,8 +12,6 @@ from numpy.random import default_rng
 
 from btckit import (
     BtcParams,
-    HsiCube,
-    LabelMap,
     ScalingParams,
     btc_classify,
     build_dictionary,
@@ -211,10 +209,10 @@ class TestHsiCubeIO:
         raw = tmp_path / "c.raw"
         np.arange(4, dtype="<f4").tofile(raw)
         cube = load_hsi_cube(hdr, str(raw))
-        assert (cube.height, cube.width, cube.bands) == (2, 2, 1)
+        assert cube.shape == (2, 2, 1)
         # kept as stored: consumers widen the rows they use
-        assert cube.values.dtype == np.float32
-        np.testing.assert_allclose(cube.values[:, :, 0], [[0, 1], [2, 3]])
+        assert cube.dtype == np.float32
+        np.testing.assert_allclose(cube[:, :, 0], [[0, 1], [2, 3]])
 
     def test_size_mismatch(self, tmp_path):
         hdr = _write(tmp_path / "c.hdr", "height=2\nwidth=2\nbands=2\ndtype=f32\n")
@@ -250,7 +248,7 @@ class TestHsiCubeIO:
         chunk = 1 << 15
         with patch.object(linalg, "CHUNK_BYTES", chunk):
             cube, peak = _traced_peak(load_hsi_cube, hdr, str(raw))
-        assert peak < cube.values.nbytes + chunk
+        assert peak < cube.nbytes + chunk
 
     def test_unknown_dtype(self, tmp_path):
         hdr = _write(tmp_path / "c.hdr", "height=1\nwidth=1\nbands=1\ndtype=f16\n")
@@ -261,34 +259,31 @@ class TestHsiCubeIO:
 
     def test_round_trip_f64_bit_exact(self, tmp_path, rng):
         values = rng.normal(size=(3, 4, 2))
-        cube = HsiCube(height=3, width=4, bands=2, values=values)
-        save_hsi_cube(cube, str(tmp_path / "o.hdr"), str(tmp_path / "o.raw"), dtype="f64")
+        save_hsi_cube(values, str(tmp_path / "o.hdr"), str(tmp_path / "o.raw"), dtype="f64")
         back = load_hsi_cube(str(tmp_path / "o.hdr"), str(tmp_path / "o.raw"))
-        assert back.values.dtype == np.float64
-        np.testing.assert_array_equal(back.values, values)
+        assert back.dtype == np.float64
+        np.testing.assert_array_equal(back, values)
 
     def test_round_trip_f32_one_ulp(self, tmp_path, rng):
         values = rng.normal(size=(2, 2, 3))
-        cube = HsiCube(height=2, width=2, bands=3, values=values)
-        save_hsi_cube(cube, str(tmp_path / "o.hdr"), str(tmp_path / "o.raw"), dtype="f32")
+        save_hsi_cube(values, str(tmp_path / "o.hdr"), str(tmp_path / "o.raw"), dtype="f32")
         back = load_hsi_cube(str(tmp_path / "o.hdr"), str(tmp_path / "o.raw"))
-        np.testing.assert_array_equal(back.values, values.astype(np.float32).astype(np.float64))
+        np.testing.assert_array_equal(back, values.astype(np.float32).astype(np.float64))
 
 
 class TestLabelMapIO:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(arrays(np.int64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40), elements=st.integers(0, 20)))
     def test_round_trip(self, tmp_path, labels):
-        lm = LabelMap(height=labels.shape[0], width=labels.shape[1], labels=labels)
         path = tmp_path / "m.csv"
-        save_label_map(lm, str(path))
+        save_label_map(labels, str(path))
         back = load_label_map(str(path))
-        assert (back.height, back.width) == labels.shape
-        assert back.labels.dtype == np.int64
-        np.testing.assert_array_equal(back.labels, labels)
+        assert back.shape == labels.shape
+        assert back.dtype == np.int64
+        np.testing.assert_array_equal(back, labels)
         # blank lines anywhere in the file are skipped
         path.write_text("\n" + "\n\n".join(path.read_text().splitlines()) + "\n \n")
-        np.testing.assert_array_equal(load_label_map(str(path)).labels, labels)
+        np.testing.assert_array_equal(load_label_map(str(path)), labels)
 
     def test_non_integer_cell(self, tmp_path):
         (tmp_path / "m.csv").write_text("0,1\n2,1.5\n")
@@ -301,16 +296,15 @@ class TestLabelMapIO:
             load_label_map(str(tmp_path / "m.csv"))
 
     def test_parse_peak_is_about_the_result(self, tmp_path, rng):
-        lm = LabelMap(height=145, width=145, labels=rng.integers(0, 17, size=(145, 145)))
-        save_label_map(lm, str(tmp_path / "m.csv"))
+        labels = rng.integers(0, 17, size=(145, 145))
+        save_label_map(labels, str(tmp_path / "m.csv"))
         back, peak = _traced_peak(load_label_map, str(tmp_path / "m.csv"))
-        np.testing.assert_array_equal(back.labels, lm.labels)
+        np.testing.assert_array_equal(back, labels)
         # no list of rows of Python ints beside the int64 result
-        assert peak < 1.5 * back.labels.nbytes
+        assert peak < 1.5 * back.nbytes
 
     def test_pgm_with_mapping(self, tmp_path):
-        lm = LabelMap(height=1, width=2, labels=np.array([[1, 2]]))
-        save_label_map_pgm(lm, str(tmp_path / "m.pgm"), str(tmp_path / "m.classes.txt"))
+        save_label_map_pgm(np.array([[1, 2]]), str(tmp_path / "m.pgm"), str(tmp_path / "m.classes.txt"))
         text = (tmp_path / "m.pgm").read_text()
         assert text.startswith("P2\n2 1\n255\n")
         mapping = (tmp_path / "m.classes.txt").read_text()
@@ -319,13 +313,12 @@ class TestLabelMapIO:
 
 class TestSplitByMask:
     def _cube(self, h, w, bands=3, seed=0):
-        values = default_rng(seed).normal(size=(h, w, bands))
-        return HsiCube(height=h, width=w, bands=bands, values=values)
+        return default_rng(seed).normal(size=(h, w, bands))
 
     def test_counting(self):
         cube = self._cube(2, 2)
-        gt = LabelMap(2, 2, np.array([[1, 1], [2, 2]]))
-        mask = LabelMap(2, 2, np.array([[1, 0], [2, 0]]))
+        gt = np.array([[1, 1], [2, 2]])
+        mask = np.array([[1, 0], [2, 0]])
         tr, trl, tel, coords = split_by_mask(cube, gt, mask)
         assert tr.shape[0] == 2 and len(coords) == 2
         np.testing.assert_array_equal(trl, [1, 2])
@@ -334,53 +327,62 @@ class TestSplitByMask:
 
     def test_test_coordinates_are_an_int64_array(self):
         cube = self._cube(3, 4)
-        gt = LabelMap(3, 4, np.array([[1, 1, 0, 2], [1, 2, 2, 2], [0, 1, 2, 1]]))
-        mask = LabelMap(3, 4, np.array([[1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]]))
+        gt = np.array([[1, 1, 0, 2], [1, 2, 2, 2], [0, 1, 2, 1]])
+        mask = np.array([[1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]])
         _, _, tel, coords = split_by_mask(cube, gt, mask)
         assert isinstance(coords, np.ndarray)
         assert coords.dtype == np.int64 and coords.shape == (8, 2)
-        np.testing.assert_array_equal(coords, np.argwhere((gt.labels > 0) & (mask.labels == 0)))
-        np.testing.assert_array_equal(tel, gt.labels[coords[:, 0], coords[:, 1]])
+        np.testing.assert_array_equal(coords, np.argwhere((gt > 0) & (mask == 0)))
+        np.testing.assert_array_equal(tel, gt[coords[:, 0], coords[:, 1]])
 
     def test_training_samples_are_float64_from_a_float32_cube(self):
         cube = self._cube(2, 2)
-        cube32 = HsiCube(2, 2, 3, cube.values.astype(np.float32))
-        gt = LabelMap(2, 2, np.array([[1, 1], [2, 2]]))
-        mask = LabelMap(2, 2, np.array([[1, 0], [2, 0]]))
+        cube32 = cube.astype(np.float32)
+        gt = np.array([[1, 1], [2, 2]])
+        mask = np.array([[1, 0], [2, 0]])
         tr = split_by_mask(cube32, gt, mask)[0]
         assert tr.dtype == np.float64
-        np.testing.assert_array_equal(tr, cube32.values[[0, 1], [0, 0]])
+        np.testing.assert_array_equal(tr, cube32[[0, 1], [0, 0]])
 
     def test_all_unlabeled(self):
         cube = self._cube(2, 2)
-        gt = LabelMap(2, 2, np.zeros((2, 2), dtype=np.int64))
-        mask = LabelMap(2, 2, np.zeros((2, 2), dtype=np.int64))
+        gt = np.zeros((2, 2), dtype=np.int64)
+        mask = np.zeros((2, 2), dtype=np.int64)
         with pytest.raises(DataFormatError, match="no labeled pixels"):
             split_by_mask(cube, gt, mask)
 
     def test_disagreement_reports_coordinates(self):
         cube = self._cube(2, 2)
-        gt = LabelMap(2, 2, np.array([[1, 1], [2, 2]]))
-        mask = LabelMap(2, 2, np.array([[2, 0], [0, 0]]))
+        gt = np.array([[1, 1], [2, 2]])
+        mask = np.array([[2, 0], [0, 0]])
         with pytest.raises(DataFormatError, match=r"\(0,0\)"):
             split_by_mask(cube, gt, mask)
 
+    def test_dims_mismatch(self):
+        # a 3x3 cube under 2x2 maps: no pixel of it may be read as labeled
+        cube = self._cube(3, 3)
+        gt = np.array([[1, 1], [2, 2]])
+        with pytest.raises(DataFormatError, match="ground truth dims"):
+            split_by_mask(cube, gt, gt)
+        with pytest.raises(DataFormatError, match="train mask dims"):
+            split_by_mask(cube[:2, :2], gt, np.ones((3, 2), dtype=np.int64))
+
     def test_class_without_training_pixels(self):
         cube = self._cube(2, 2)
-        gt = LabelMap(2, 2, np.array([[1, 1], [2, 2]]))
-        mask = LabelMap(2, 2, np.array([[1, 0], [0, 0]]))
+        gt = np.array([[1, 1], [2, 2]])
+        mask = np.array([[1, 0], [0, 0]])
         with pytest.raises(DataFormatError, match="zero training pixels"):
             split_by_mask(cube, gt, mask)
 
 
 class TestRenderBlockMask:
     def test_block_selects_matching_pixels(self):
-        gt = LabelMap(3, 3, np.array([[1, 1, 2], [1, 1, 2], [2, 2, 2]]))
+        gt = np.array([[1, 1, 2], [1, 1, 2], [2, 2, 2]])
         mask = render_block_mask(gt, [(1, 0, 0, 2, 2), (2, 0, 2, 3, 1)])
         expected = np.array([[1, 1, 2], [1, 1, 2], [0, 0, 2]])
-        np.testing.assert_array_equal(mask.labels, expected)
+        np.testing.assert_array_equal(mask, expected)
 
     def test_block_without_class_pixels(self):
-        gt = LabelMap(2, 2, np.array([[1, 1], [1, 1]]))
+        gt = np.array([[1, 1], [1, 1]])
         with pytest.raises(DataFormatError, match="no class-2 pixels"):
             render_block_mask(gt, [(2, 0, 0, 2, 2)])

@@ -8,7 +8,6 @@ import pytest
 from numpy.random import default_rng
 
 from btckit import (
-    HsiCube,
     build_dictionary,
     mutual_coherence,
     pca_first_component,
@@ -126,7 +125,7 @@ class TestTopMSelectExcluding:
 class TestPcaFirstComponent:
     def test_single_band_identity(self, rng):
         values = rng.normal(size=(4, 5, 1))
-        out = pca_first_component(HsiCube(4, 5, 1, values))
+        out = pca_first_component(values)
         band = values[:, :, 0]
         expected = (band - band.min()) / (band.max() - band.min())
         np.testing.assert_allclose(out, expected)
@@ -135,13 +134,13 @@ class TestPcaFirstComponent:
         base = rng.normal(size=(6, 6))
         coeffs = np.array([1.0, 2.0, -0.5])
         values = base[:, :, None] * coeffs[None, None, :]
-        out = pca_first_component(HsiCube(6, 6, 3, values))
+        out = pca_first_component(values)
         expected = (base - base.min()) / (base.max() - base.min())
         np.testing.assert_allclose(out, expected, atol=1e-6)
 
     def test_matches_eigendecomposition_oracle(self, rng):
         values = rng.normal(size=(8, 8, 4))
-        out = pca_first_component(HsiCube(8, 8, 4, values))
+        out = pca_first_component(values)
         X = values.reshape(64, 4)
         Xc = X - X.mean(axis=0)
         cov = (Xc.T @ Xc) / 63
@@ -152,9 +151,9 @@ class TestPcaFirstComponent:
 
     def test_band_permutation_invariance(self, rng):
         values = rng.normal(size=(5, 5, 6))
-        out = pca_first_component(HsiCube(5, 5, 6, values))
+        out = pca_first_component(values)
         perm = rng.permutation(6)
-        out_p = pca_first_component(HsiCube(5, 5, 6, values[:, :, perm]))
+        out_p = pca_first_component(values[:, :, perm])
         np.testing.assert_allclose(out, out_p, atol=1e-6)
 
     def test_constant_cube_gives_zeros(self):
@@ -163,15 +162,15 @@ class TestPcaFirstComponent:
         for (h, w, b), level in (((7, 9, 5), 0.3), ((145, 145, 30), 0.37), ((61, 37, 20), 0.37)):
             for values in (np.full((h, w, b), level), np.tile(np.linspace(0.1, 0.9, b), (h, w, 1))):
                 for dtype in (np.float64, np.float32):
-                    out = pca_first_component(HsiCube(h, w, b, values.astype(dtype)))
+                    out = pca_first_component(values.astype(dtype))
                     np.testing.assert_array_equal(out, np.zeros((h, w)))
 
     def test_float32_cube_equals_widened_cube_bit_for_bit(self, rng):
         # band-sequential float32, as load_hsi_cube returns an f32 file
         values = rng.normal(size=(6, 9, 7)).astype(np.float32).transpose(1, 2, 0)
         with patch.object(linalg, "CHUNK_BYTES", 1):
-            out32 = pca_first_component(HsiCube(9, 7, 6, values))
-            out64 = pca_first_component(HsiCube(9, 7, 6, values.astype(np.float64)))
+            out32 = pca_first_component(values)
+            out64 = pca_first_component(values.astype(np.float64))
         np.testing.assert_array_equal(out32, out64)
 
     def test_memory_bounded_by_row_blocks(self, rng):
@@ -180,7 +179,7 @@ class TestPcaFirstComponent:
         with patch.object(linalg, "CHUNK_BYTES", 1 << 15):
             tracemalloc.start()
             try:
-                out = pca_first_component(HsiCube(h, w, b, values))
+                out = pca_first_component(values)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -196,7 +195,7 @@ class TestPcaFirstComponent:
 
     def test_output_in_unit_interval(self, rng):
         values = rng.normal(size=(4, 4, 3)) * 100
-        out = pca_first_component(HsiCube(4, 4, 3, values))
+        out = pca_first_component(values)
         assert out.min() == 0.0 and out.max() == 1.0
 
 

@@ -8,8 +8,6 @@ from numpy.random import default_rng
 
 from btckit import (
     BtcParams,
-    HsiCube,
-    LabelMap,
     WlsParams,
     box_smooth,
     btc_classify,
@@ -32,8 +30,7 @@ def _two_class_setup(seed=50, h=10, w=10, bands=6):
     gt = np.zeros((h, w), dtype=np.int64)
     gt[:, : w // 2] = 1
     gt[:, w // 2 :] = 2
-    values = sigs[gt - 1] + rng.normal(0, 0.05, (h, w, bands))
-    cube = HsiCube(height=h, width=w, bands=bands, values=values)
+    cube = sigs[gt - 1] + rng.normal(0, 0.05, (h, w, bands))
     train = np.vstack([sigs[0] + rng.normal(0, 0.05, (5, bands)),
                        sigs[1] + rng.normal(0, 0.05, (5, bands))])
     d = build_dictionary(train, [1] * 5 + [2] * 5)
@@ -43,22 +40,21 @@ def _two_class_setup(seed=50, h=10, w=10, bands=6):
 class TestBuildResidualCube:
     def test_single_pixel(self):
         cube, _, d = _two_class_setup()
-        one = HsiCube(height=1, width=1, bands=6, values=cube.values[:1, :1])
+        one = cube[:1, :1]
         params = BtcParams(m=3, alpha=1e-4)
         rc, classmap = build_residual_cube(one, d, params)
-        res, _ = btc_classify(d, one.values[0, 0], params)
+        res, _ = btc_classify(d, one[0, 0], params)
         v = res.values
         expected = (v - v.min()) / (v.max() - v.min())
         np.testing.assert_allclose(rc[0, 0], expected, atol=1e-12)
-        assert classmap.labels[0, 0] == res.predicted_class
+        assert classmap[0, 0] == res.predicted_class
 
     def test_constant_cube_is_piecewise_constant(self):
         _, _, d = _two_class_setup()
-        values = np.tile(np.linspace(0.3, 0.9, 6), (3, 3, 1))
-        cube = HsiCube(height=3, width=3, bands=6, values=values)
+        cube = np.tile(np.linspace(0.3, 0.9, 6), (3, 3, 1))
         rc, classmap = build_residual_cube(cube, d, BtcParams(m=3, alpha=1e-4))
         np.testing.assert_allclose(rc, np.broadcast_to(rc[0, 0], rc.shape), atol=1e-12)
-        assert len(np.unique(classmap.labels)) == 1
+        assert len(np.unique(classmap)) == 1
 
     def test_matches_per_pixel_loop_oracle(self):
         cube, _, d = _two_class_setup()
@@ -67,9 +63,9 @@ class TestBuildResidualCube:
         raw = np.empty((10, 10, 2))
         for r in range(10):
             for c in range(10):
-                res, _ = btc_classify(d, cube.values[r, c], params)
+                res, _ = btc_classify(d, cube[r, c], params)
                 raw[r, c] = res.values
-                assert classmap.labels[r, c] == res.predicted_class
+                assert classmap[r, c] == res.predicted_class
         expected = (raw - raw.min()) / (raw.max() - raw.min())
         np.testing.assert_allclose(rc, expected, atol=1e-12)
         assert rc.min() == 0.0 and rc.max() == 1.0
@@ -78,7 +74,7 @@ class TestBuildResidualCube:
         cube, _, d = _two_class_setup()
         params = BtcParams(m=3, alpha=1e-4)
         rc, _ = build_residual_cube(cube, d, params)
-        raw = btc_residuals(d, cube.values.reshape(-1, cube.bands), params).reshape(rc.shape)
+        raw = btc_residuals(d, cube.reshape(-1, cube.shape[2]), params).reshape(rc.shape)
         assert rc.min() == 0.0 and rc.max() == 1.0
         np.testing.assert_array_equal(np.argmin(rc, axis=2), np.argmin(raw, axis=2))
         # one scale for the whole cube: a layer keeps its range relative to the others
@@ -89,13 +85,13 @@ class TestBuildResidualCube:
 class TestMaskByClassmap:
     def test_single_pixel_masking(self):
         values = np.array([[[0.2, 0.3, 0.4]]])
-        classmap = LabelMap(1, 1, np.array([[2]]))
+        classmap = np.array([[2]])
         masked = mask_by_classmap(values, classmap)
         np.testing.assert_allclose(masked[0, 0], [1.0, 0.3, 1.0])
 
     def test_uniform_map_saturates_other_layers(self, rng):
         values = rng.uniform(0, 0.5, (4, 4, 3))
-        classmap = LabelMap(4, 4, np.ones((4, 4), dtype=np.int64))
+        classmap = np.ones((4, 4), dtype=np.int64)
         masked = mask_by_classmap(values, classmap)
         np.testing.assert_allclose(masked[:, :, 1], 1.0)
         np.testing.assert_allclose(masked[:, :, 2], 1.0)
@@ -104,7 +100,7 @@ class TestMaskByClassmap:
     def test_matches_elementwise_oracle_and_never_decreases(self, rng):
         values = rng.uniform(0, 1, (5, 6, 4))
         labels = rng.integers(1, 5, (5, 6))
-        masked = mask_by_classmap(values, LabelMap(5, 6, labels))
+        masked = mask_by_classmap(values, labels)
         expected = np.empty_like(values)
         for r in range(5):
             for c in range(6):
@@ -116,7 +112,7 @@ class TestMaskByClassmap:
     def test_dim_mismatch_rejected(self, rng):
         cube = rng.uniform(0, 1, (3, 3, 2))
         with pytest.raises(ConfigError):
-            mask_by_classmap(cube, LabelMap(2, 2, np.ones((2, 2), dtype=np.int64)))
+            mask_by_classmap(cube, np.ones((2, 2), dtype=np.int64))
 
 
 class TestBoxSmooth:
@@ -247,22 +243,22 @@ class TestWlsSmooth:
             with pytest.raises(ConfigError):
                 WlsParams(lam=bad)
             with pytest.raises(ConfigError):
-                WlsParams(eps_wls=bad)
+                WlsParams(alpha_wls=bad)
 
 
 class TestDecideFromCube:
     def test_single_layer_all_class_one(self, rng):
         cube = rng.uniform(0, 1, (3, 3, 1))
-        np.testing.assert_array_equal(decide_from_cube(cube).labels, 1)
+        np.testing.assert_array_equal(decide_from_cube(cube), 1)
 
     def test_pixel_argmin(self):
         cube = np.array([[[0.2, 0.1, 0.9]]])
-        assert decide_from_cube(cube).labels[0, 0] == 2
+        assert decide_from_cube(cube)[0, 0] == 2
 
     def test_matches_elementwise_oracle_with_tie_rule(self, rng):
         values = rng.uniform(0, 1, (4, 4, 3))
         values[0, 0] = [0.5, 0.5, 0.9]  # tie -> lowest class id
-        labels = decide_from_cube(values).labels
+        labels = decide_from_cube(values)
         assert labels[0, 0] == 1
         for r in range(4):
             for c in range(4):
@@ -276,7 +272,7 @@ class TestPipeline:
         # masking keeps each pixel's own layer, so with identity smoothing
         # the argmin is still the pixel-wise one
         final, pixelwise = spatial_spectral_classify(cube, d, params, smoothing="box", window=1)
-        np.testing.assert_array_equal(final.labels, pixelwise.labels)
+        np.testing.assert_array_equal(final, pixelwise)
 
     def test_spatial_never_hurts_on_blocky_scene(self):
         cube, gt = make_blocky_scene(seed=9, sigma=0.45)
@@ -287,9 +283,9 @@ class TestPipeline:
         d = build_dictionary(train, train_labels)
         params = BtcParams(m=10, alpha=1e-10)
         final, pixelwise = spatial_spectral_classify(cube, d, params, smoothing="wls")
-        sel = (mask.labels == 0) & (gt.labels > 0)
-        oa_spatial = np.mean(final.labels[sel] == gt.labels[sel])
-        oa_spectral = np.mean(pixelwise.labels[sel] == gt.labels[sel])
+        sel = (mask == 0) & (gt > 0)
+        oa_spatial = np.mean(final[sel] == gt[sel])
+        oa_spectral = np.mean(pixelwise[sel] == gt[sel])
         assert oa_spatial >= oa_spectral
 
     def test_unknown_smoothing_rejected(self):
