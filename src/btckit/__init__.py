@@ -69,8 +69,10 @@ from btckit.spatial import (
     WlsParams,
     box_smooth,
     build_residual_cube,
+    classify_pixels,
     decide_from_cube,
     mask_by_classmap,
+    smooth_and_decide,
     spatial_spectral_classify,
     wls_smooth,
 )

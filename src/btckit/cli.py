@@ -26,6 +26,7 @@ from btckit import (  # noqa: F401
     btc_estimate_threshold,
     btc_residuals,
     build_dictionary,
+    classify_pixels,
     ensemble_residuals,
     evaluate,
     kbtc_estimate_params,
@@ -35,7 +36,7 @@ from btckit import (  # noqa: F401
     load_hsi_cube,
     recover_sparse,
     roc_sweep,
-    spatial_spectral_classify,
+    smooth_and_decide,
     split_by_mask,
 )
 from btckit.data import (
@@ -49,6 +50,11 @@ from btckit.data import (
 )
 from btckit.errors import BtckitError, ConfigError, DataFormatError, NumericalError
 from btckit.linalg import mutual_coherence
+
+# Largest sizes the CLI accepts for arrays it allocates from a flag alone, so an
+# absurd value is a config error (exit 2), checked before anything is allocated
+MAX_ROC_POINTS = 1_000_000
+MAX_RECOVERY_CELLS = 10_000_000  # B x N entries of the synth-recovery matrix: 80 MB of float64
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -150,13 +156,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     common(p)
     p.add_argument("--valid-margins", required=True, help="one margin per line")
     p.add_argument("--invalid-margins", required=True)
-    p.add_argument("--points", type=int, default=1001)
+    p.add_argument("--points", type=int, default=1001, help=f"thresholds, 1..{MAX_ROC_POINTS}")
     p.set_defaults(func=_cmd_roc)
 
     p = sub.add_parser("synth-recovery", help="Gaussian sparse recovery demo")
     common(p)
-    p.add_argument("--n", type=int, default=512)
-    p.add_argument("--b", type=int, default=170)
+    p.add_argument("--n", type=int, default=512, help=f"atoms; B x N <= {MAX_RECOVERY_CELLS}")
+    p.add_argument("--b", type=int, default=170, help=f"measurements; B x N <= {MAX_RECOVERY_CELLS}")
     p.add_argument("--k", type=int, default=15)
     p.add_argument("--m", type=int, default=120)
     p.add_argument("--alpha", type=float, default=1e-4)
@@ -321,9 +327,11 @@ def _cmd_classify_hsi(args: argparse.Namespace) -> None:
         )
 
     wls = WlsParams(lam=args.wls_lambda, alpha_wls=args.wls_alpha)
-    final, pixelwise = spatial_spectral_classify(
-        cube, dictionary, params, smoothing=args.smoothing, window=args.window, wls_params=wls
-    )
+    masked, pixelwise, guidance = classify_pixels(cube, dictionary, params, args.smoothing)
+    # nothing left refers to the cube: dropping it here unmaps it before the
+    # smoothing, whose sparse LU factor sets the command's peak memory
+    del cube, train, dictionary
+    final = smooth_and_decide(masked, guidance, args.smoothing, args.window, wls)
     elapsed = time.perf_counter() - start
 
     os.makedirs(args.output_dir, exist_ok=True)
@@ -368,8 +376,8 @@ def _load_margins(path: str) -> np.ndarray:
 
 
 def _cmd_roc(args: argparse.Namespace) -> None:
-    if args.points < 1:
-        raise ConfigError(f"--points must be >= 1, got {args.points}")
+    if not 1 <= args.points <= MAX_ROC_POINTS:
+        raise ConfigError(f"--points must be in 1..{MAX_ROC_POINTS}, got {args.points}")
     valid = _load_margins(args.valid_margins)
     invalid = _load_margins(args.invalid_margins)
     taus = np.linspace(0.0, 1.0, args.points + 2)[1:-1]
@@ -386,6 +394,8 @@ def _cmd_synth_recovery(args: argparse.Namespace) -> None:
         raise ConfigError(f"need 1 <= k <= n, got k={args.k}, n={args.n}")
     if args.b < 1:
         raise ConfigError(f"--b must be >= 1, got {args.b}")
+    if args.b * args.n > MAX_RECOVERY_CELLS:
+        raise ConfigError(f"--b x --n must be <= {MAX_RECOVERY_CELLS}, got {args.b} x {args.n}")
     rng = np.random.default_rng(args.seed)
     A = rng.standard_normal((args.b, args.n))
     A /= np.linalg.norm(A, axis=0)

@@ -234,7 +234,11 @@ def load_hsi_cube(header_path: str, raw_path: str) -> np.ndarray:
 
     Every value is finite. The array is a band-sequential view in the file's
     dtype (float32 for ``f32``, float64 for ``f64``); it is not widened here,
-    and consumers widen to float64 one chunk at a time.
+    and consumers widen to float64 one chunk at a time. The values live in a
+    private anonymous mapping of their own, not in a malloc'd buffer, so the
+    pages go back to the system as soon as the last view of the cube dies. A
+    raw file whose size no longer matches the header when it is read raises
+    DataFormatError.
     """
     keys = {key: value for _, key, value in _read_key_values(header_path, DataFormatError)}
     for required in ("height", "width", "bands", "dtype"):
@@ -259,9 +263,18 @@ def load_hsi_cube(header_path: str, raw_path: str) -> np.ndarray:
             f"{raw_path}: size {actual} bytes ≠ expected {expected} "
             f"({height}x{width}x{bands} {keys['dtype']})"
         )
+    import mmap  # here, so commands that read no cube do not load it
+
     from btckit.linalg import chunks  # linalg imports this module
 
-    flat = np.fromfile(raw_path, dtype=dtype)
+    # a mapping of its own, not a malloc'd block: freeing a block of many MB raises
+    # glibc's mmap threshold, after which later large arrays stay on the heap and
+    # raise the process's peak
+    buf = mmap.mmap(-1, expected, flags=mmap.MAP_PRIVATE)
+    with open(raw_path, "rb") as fh:
+        if fh.readinto(buf) != expected or fh.read(1):
+            raise DataFormatError(f"{raw_path}: size changed while reading (expected {expected} bytes)")
+    flat = np.frombuffer(buf, dtype=dtype)
     # block by block, so the check's masks stay one block long
     for sl in chunks(flat.size, 1):
         finite = np.isfinite(flat[sl])

@@ -181,6 +181,49 @@ def decide_from_cube(residuals: np.ndarray) -> np.ndarray:
     return np.argmin(residuals, axis=2).astype(np.int64) + 1
 
 
+def classify_pixels(
+    cube: np.ndarray,
+    dictionary: Dictionary,
+    params: BtcParams | KbtcParams,
+    smoothing: str = "wls",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Spectral half of the pipeline: the last step that reads the cube.
+
+    Returns the residual cube masked by the pixel-wise class map, that (H, W)
+    map, and, when ``smoothing`` is "wls", the guidance image (the first
+    principal component of the cube; None otherwise). Nothing returned
+    refers to the cube, so a caller that drops its own references frees the
+    cube before :func:`smooth_and_decide` runs.
+    """
+    residuals, pixelwise = build_residual_cube(cube, dictionary, params)
+    residuals = mask_by_classmap(residuals, pixelwise)
+    guidance = pca_first_component(cube) if smoothing == "wls" else None
+    return residuals, pixelwise, guidance
+
+
+def smooth_and_decide(
+    masked: np.ndarray,
+    guidance: np.ndarray | None,
+    smoothing: str = "wls",
+    window: int = 5,
+    wls_params: WlsParams | None = None,
+) -> np.ndarray:
+    """Spatial half of the pipeline: smooth the masked residual cube and decide.
+
+    ``smoothing`` is one of none/box/wls; WLS needs the guidance image from
+    :func:`classify_pixels`. Returns the (H, W) smoothed class map.
+    """
+    if smoothing == "none":
+        smoothed = masked
+    elif smoothing == "box":
+        smoothed = box_smooth(masked, window)
+    elif smoothing == "wls":
+        smoothed = wls_smooth(masked, guidance, wls_params or WlsParams())
+    else:
+        raise ConfigError(f"unknown smoothing {smoothing!r}")
+    return decide_from_cube(smoothed)
+
+
 def spatial_spectral_classify(
     cube: np.ndarray,
     dictionary: Dictionary,
@@ -191,19 +234,11 @@ def spatial_spectral_classify(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full pipeline: residual cube, masking, smoothing, final decision.
 
+    :func:`classify_pixels` followed by :func:`smooth_and_decide`.
     ``smoothing`` is one of none/box/wls. WLS is guided by the first
-    principal component of the cube. Returns the (H, W) smoothed
-    and pixel-wise class maps.
+    principal component of the cube. Returns the (H, W) smoothed and
+    pixel-wise class maps. The caller's cube stays alive through smoothing;
+    the CLI calls the two halves itself and drops the cube between them.
     """
-    residuals, pixelwise = build_residual_cube(cube, dictionary, params)
-    residuals = mask_by_classmap(residuals, pixelwise)
-
-    if smoothing == "none":
-        smoothed = residuals
-    elif smoothing == "box":
-        smoothed = box_smooth(residuals, window)
-    elif smoothing == "wls":
-        smoothed = wls_smooth(residuals, pca_first_component(cube), wls_params or WlsParams())
-    else:
-        raise ConfigError(f"unknown smoothing {smoothing!r}")
-    return decide_from_cube(smoothed), pixelwise
+    masked, pixelwise, guidance = classify_pixels(cube, dictionary, params, smoothing)
+    return smooth_and_decide(masked, guidance, smoothing, window, wls_params), pixelwise

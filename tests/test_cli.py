@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
 import btckit
-from btckit import build_dictionary, kbtc_estimate_params, load_hsi_cube, save_hsi_cube
+from btckit import build_dictionary, kbtc_estimate_params, load_hsi_cube, save_hsi_cube, spatial
 from btckit.cli import _parse_gamma_grid, main
 from btckit.data import NORM_RANGE, save_label_map
 from btckit.errors import ConfigError
@@ -319,7 +320,52 @@ def _hsi_files(tmp_path):
     return args, gt, mask
 
 
+def _root_buffer(array):
+    """The object that owns an array's memory."""
+    root = array
+    while isinstance(root, np.ndarray) and root.base is not None:
+        root = root.base
+    return root.obj if isinstance(root, memoryview) else root
+
+
 class TestHsiCommand:
+    @pytest.mark.parametrize("classifier", ["btc", "kbtc"])
+    @pytest.mark.parametrize("smoothing", ["wls", "box", "none"])
+    def test_cube_is_freed_before_smoothing(self, tmp_path, monkeypatch, smoothing, classifier):
+        args, _, _ = _hsi_files(tmp_path)
+        cubes, alive = [], []
+
+        def load(*paths):
+            cube = load_hsi_cube(*paths)
+            cubes.append(weakref.ref(_root_buffer(cube)))
+            return cube
+
+        def checked(fn):
+            def run(*a, **kw):
+                alive.append(cubes[0]() is not None)
+                return fn(*a, **kw)
+            return run
+
+        monkeypatch.setattr(btckit.cli, "load_hsi_cube", load)
+        # each smoothing, and the decision that follows every smoothing and stands in for "none"
+        for name in ("wls_smooth", "box_smooth", "decide_from_cube"):
+            monkeypatch.setattr(spatial, name, checked(getattr(spatial, name)))
+        argv = args + ["--classifier", classifier, "--smoothing", smoothing]
+        assert main(argv + ["--output-dir", str(tmp_path / "hsi")]) == 0
+        assert alive and not any(alive)
+
+    def test_raw_file_shrinking_after_its_check_exit_code(self, tmp_path, monkeypatch, capsys):
+        args, _, _ = _hsi_files(tmp_path)
+        raw = args[4]
+        size = os.path.getsize(raw)
+        with open(raw, "r+b") as fh:
+            fh.truncate(size - 8)
+        getsize = os.path.getsize
+        monkeypatch.setattr(os.path, "getsize", lambda path: size if path == raw else getsize(path))
+        assert main(args + ["--output-dir", str(tmp_path / "hsi")]) == 3
+        err = capsys.readouterr().err
+        assert "size changed while reading" in err and "Traceback" not in err
+
     def test_classify_hsi_small_scene(self, tmp_path, capsys):
         args, _, _ = _hsi_files(tmp_path)
         out = tmp_path / "hsi"
@@ -455,6 +501,22 @@ class TestOtherCommands:
         rc = main(["synth-recovery", *flags, "--output-dir", str(tmp_path / "rec")])
         assert rc == 2
         assert not (tmp_path / "rec").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["roc", "--points", "100000000000"],
+        ["synth-recovery", "--n", "1000000000000", "--k", "1"],
+        ["synth-recovery", "--b", "1000000000000"],
+    ], ids=["roc-points", "synth-recovery-n", "synth-recovery-b"])
+    def test_size_above_its_bound_exit_code(self, tmp_path, capsys, argv):
+        if argv[0] == "roc":
+            (tmp_path / "valid.txt").write_text("0.9\n")
+            (tmp_path / "invalid.txt").write_text("0.1\n")
+            argv = argv + ["--valid-margins", str(tmp_path / "valid.txt"),
+                           "--invalid-margins", str(tmp_path / "invalid.txt")]
+        assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "must be" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_synth_recovery_command(self, tmp_path, capsys):
         out = tmp_path / "rec"

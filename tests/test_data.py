@@ -1,5 +1,6 @@
 """Dataset parsing, dictionary construction, cube IO, and mask splitting."""
 
+import os
 import tracemalloc
 from unittest.mock import patch
 
@@ -248,7 +249,20 @@ class TestHsiCubeIO:
         chunk = 1 << 15
         with patch.object(linalg, "CHUNK_BYTES", chunk):
             cube, peak = _traced_peak(load_hsi_cube, hdr, str(raw))
-        assert peak < cube.nbytes + chunk
+        # the values sit in an mmap of their own, which tracemalloc does not see,
+        # so the peak is the check's own work: less than one block
+        assert peak < chunk < cube.nbytes
+
+    @pytest.mark.parametrize("values", [3, 5], ids=["shrunk", "grown"])
+    def test_raw_file_changing_size_after_its_check(self, tmp_path, monkeypatch, values):
+        hdr = _write(tmp_path / "c.hdr", "height=2\nwidth=2\nbands=1\ndtype=f32\n")
+        raw = str(tmp_path / "c.raw")
+        np.arange(values, dtype="<f4").tofile(raw)
+        # the size check sees the header's 16 bytes; the read then finds another size
+        getsize = os.path.getsize
+        monkeypatch.setattr(os.path, "getsize", lambda path: 16 if path == raw else getsize(path))
+        with pytest.raises(DataFormatError, match="size changed while reading"):
+            load_hsi_cube(hdr, raw)
 
     def test_unknown_dtype(self, tmp_path):
         hdr = _write(tmp_path / "c.hdr", "height=1\nwidth=1\nbands=1\ndtype=f16\n")
