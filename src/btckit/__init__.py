@@ -23,6 +23,7 @@ from btckit.data import (
     split_by_mask,
 )
 from btckit.linalg import (
+    beta_profile,
     mutual_coherence,
     pca_first_component,
     solve_spd_regularized,
@@ -33,7 +34,6 @@ from btckit.btc import (
     ResidualVector,
     SparseCode,
     btc_beta_average,
-    btc_beta_sample,
     btc_classify,
     btc_estimate_threshold,
     btc_residuals,
@@ -48,10 +48,8 @@ from btckit.kbtc import (
     KernelSpec,
     default_gamma_grid,
     kbtc_beta_average_m,
-    kbtc_beta_sample,
     kbtc_classify,
     kbtc_estimate_params,
-    kbtc_gamma_profile,
     kbtc_residual_alt,
     kbtc_residuals,
     kernel_cache,

@@ -18,10 +18,9 @@ from btckit.data import Dictionary, NORM_L2
 from btckit.errors import ConfigError
 from btckit.linalg import (
     beta_profile,
-    chunks,
+    batch_residuals,
     gram_residuals,
     solve_spd_regularized,
-    top_m_rows,
     top_m_select,
 )
 
@@ -71,24 +70,18 @@ class ResidualVector:
 def btc_residuals(dictionary: Dictionary, Y: np.ndarray, params: BtcParams) -> np.ndarray:
     """Per-class residuals (S x C) of every row of Y: the batch form of :func:`btc_classify`.
 
-    The predicted class of row i is ``argmin(residuals[i]) + 1``. Rows are
-    classified in chunks, so memory stays bounded for any S. Y may have any
-    real float dtype: each chunk is widened to float64 as it is classified,
-    so a float32 Y is never copied whole.
+    Each row is L2-normalized; its residuals are reconstruction errors in
+    feature space. See :func:`batch_residuals` for chunking and dtypes.
     """
     params.validate(dictionary.n_features, dictionary.n_samples)
-    Y = np.asarray(Y)
-    atoms, labels = np.ascontiguousarray(dictionary.columns.T), dictionary.column_labels()
+    atoms = np.ascontiguousarray(dictionary.columns.T)
+
+    def prepare(rows: np.ndarray, first: int) -> tuple:
+        Yn, V = _correlations(dictionary, np.asarray(rows, dtype=np.float64), first)
+        return V, np.ones(len(V)), (atoms, Yn)
+
     gram = dictionary.columns.T @ dictionary.columns
-    out = np.empty((Y.shape[0], dictionary.n_classes))
-    m, n_classes = params.m, dictionary.n_classes
-    for sl in chunks(Y.shape[0], dictionary.n_samples + m * m):
-        Yn, V = _correlations(dictionary, np.asarray(Y[sl], dtype=np.float64), first=sl.start)
-        support = top_m_rows(V, m)
-        out[sl], _ = gram_residuals(
-            gram, labels, n_classes, V, np.ones(len(V)), support, params.alpha, sl.start, (atoms, Yn)
-        )
-    return out
+    return batch_residuals(dictionary, Y, params.m, params.alpha, gram, prepare)
 
 
 def btc_classify(
@@ -106,14 +99,11 @@ def btc_classify(
     """
     params.validate(dictionary.n_features, dictionary.n_samples)
     Yn, V = _correlations(dictionary, np.asarray(y, dtype=np.float64)[None, :])
-    if support is None:
-        support = top_m_select(V[0], params.m)
-    else:
-        support = np.asarray(support, dtype=np.int64)
+    support = top_m_select(V[0], params.m) if support is None else np.asarray(support, np.int64)
     # the core on the support alone: its Gram block, labels and correlations
     D = dictionary.columns[:, support]
     residuals, coeffs = gram_residuals(
-        D.T @ D, dictionary.column_labels()[support], dictionary.n_classes, V[:, support],
+        D.T @ D, dictionary.labels[support], dictionary.n_classes, V[:, support],
         np.ones(1), np.arange(support.size)[None, :], params.alpha, features=(D.T, Yn),
     )
     code = SparseCode(support=support, coefficients=coeffs[0], ambient_size=dictionary.n_samples)
@@ -138,34 +128,10 @@ def corr_classify(dictionary: Dictionary, y: np.ndarray, m: int) -> int:
     """Correlation baseline: argmax of class-wise sums of the M largest correlations."""
     v = _correlations(dictionary, np.asarray(y, dtype=np.float64)[None, :])[1][0]
     keep = top_m_select(v, m)
-    labels = dictionary.column_labels()[keep] - 1
+    labels = dictionary.labels[keep] - 1
     sums = np.bincount(labels, weights=v[keep], minlength=dictionary.n_classes)
     # ties -> lowest class id (argmax returns first maximum)
     return int(np.argmax(sums)) + 1
-
-
-def btc_beta_sample(
-    dictionary: Dictionary, class_id: int, sample_idx: int, params: BtcParams
-) -> float:
-    """Sufficient-identification ratio for one training column.
-
-    The column is classified against the dictionary with itself excluded
-    from selection; the result is its own-class residual over the best
-    rival residual. Values below 1 mean the column is identifiable.
-    """
-    col = beta_column(dictionary, class_id, sample_idx, params)
-    return float(beta_profile(dictionary, [params.m], params.alpha, cols=[col])[0, 0])
-
-
-def beta_column(dictionary: Dictionary, class_id: int, sample_idx: int, params: BtcParams) -> int:
-    """Dictionary index of a class's ``sample_idx``-th column, once ``params`` suit a beta."""
-    if params.m < 2:
-        raise ConfigError("beta requires M >= 2")
-    params.validate(dictionary.n_features, dictionary.n_samples)
-    sl = dictionary.class_slice(class_id)
-    if not 0 <= sample_idx < sl.stop - sl.start:
-        raise ConfigError(f"sample_idx {sample_idx} out of class {class_id} range")
-    return sl.start + sample_idx
 
 
 def btc_beta_average(dictionary: Dictionary, m: int, alpha: float) -> float:
@@ -189,12 +155,12 @@ def btc_estimate_threshold(
     b = dictionary.n_features
     if m_range is None:
         m_range = range(2, b)
-    ms = [m for m in m_range]
-    if not ms:
+    # checked by its ends alone, so a huge range is refused without being listed
+    if not m_range:
         raise ConfigError("empty M range")
-    if ms[0] < 2 or ms[-1] >= b:
+    if m_range[0] < 2 or m_range[-1] >= b:
         raise ConfigError(f"M range must lie within [2, {b - 1}]")
-    return threshold_argmin(ms, beta_profile(dictionary, ms, alpha).mean(axis=1))
+    return threshold_argmin(m_range, beta_profile(dictionary, m_range, alpha).mean(axis=1))
 
 
 def threshold_argmin(ms: Sequence[int], averages: np.ndarray) -> tuple[int, list[tuple[int, float]]]:

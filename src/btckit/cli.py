@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from btckit.linalg import mutual_coherence
 # absurd value is a config error (exit 2), checked before anything is allocated
 MAX_ROC_POINTS = 1_000_000
 MAX_RECOVERY_CELLS = 10_000_000  # B x N entries of the synth-recovery matrix: 80 MB of float64
+MAX_GAMMA_POINTS = 1000  # one kernel Gram and beta profile each: ~3 s per point at B=200, N=960
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -120,7 +122,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--train", required=True)
     p.add_argument("--train-labels", required=True)
     p.add_argument("--alpha", type=float, default=1e-9)
-    p.add_argument("--gamma-grid", default="2^-10..2^1")
+    p.add_argument("--gamma-grid", default="2^-10..2^1",
+                   help=f"b^lo..b^hi range or comma list, at most {MAX_GAMMA_POINTS} points")
     p.set_defaults(func=_cmd_estimate_kbtc)
 
     p = sub.add_parser("classify-hsi", help="spatial-spectral cube classification")
@@ -221,6 +224,10 @@ def _write_artifact(args: argparse.Namespace, name: str, content: str) -> str:
     return path
 
 
+def _write_lines(args: argparse.Namespace, name: str, lines: Iterable[object]) -> None:
+    _write_artifact(args, name, "".join(f"{line}\n" for line in lines))
+
+
 def _write_sidecar(args: argparse.Namespace, artifact_path: str) -> None:
     lines = [f"{k}={v}" for k, v in _resolved_config(args).items()]
     with open(artifact_path + ".config.txt", "w", encoding="utf-8") as fh:
@@ -228,7 +235,7 @@ def _write_sidecar(args: argparse.Namespace, artifact_path: str) -> None:
 
 
 def _parse_gamma_grid(text: str) -> list[float]:
-    """Parse '2^-10..2^1' ranges or comma lists of floats / 2^k terms."""
+    """Parse '2^-10..2^1' ranges or comma lists of floats / 2^k terms, at most MAX_GAMMA_POINTS."""
 
     def term(t: str) -> float:
         t = t.strip()
@@ -245,8 +252,13 @@ def _parse_gamma_grid(text: str) -> list[float]:
             base = float(lo_s.partition("^")[0])
             lo = int(lo_s.partition("^")[2])
             hi = int(hi_s.partition("^")[2])
-            return [base**e for e in range(lo, hi + 1)]
-        return [term(t) for t in text.split(",") if t.strip()]
+            base**lo, base**hi  # an end that overflows makes the grid malformed, at any length
+            points, value = range(lo, hi + 1), lambda e: base**e
+        else:
+            points, value = [t for t in text.split(",") if t.strip()], term
+        if points[MAX_GAMMA_POINTS:]:  # a range slices lazily, whatever its length
+            raise ConfigError(f"--gamma-grid must have at most {MAX_GAMMA_POINTS} points")
+        return [value(p) for p in points]
     except (ValueError, ArithmeticError) as exc:  # ArithmeticError: 2^5000, 0^-1
         raise ConfigError(f"malformed gamma grid {text!r}") from exc
 
@@ -273,7 +285,7 @@ def _cmd_classify(args: argparse.Namespace) -> None:
 def _write_predictions(
     args: argparse.Namespace, predictions: np.ndarray, test_labels: np.ndarray, elapsed: float
 ) -> None:
-    _write_artifact(args, "predictions.csv", "\n".join(str(p) for p in predictions) + "\n")
+    _write_lines(args, "predictions.csv", predictions)
     report = evaluate(predictions, test_labels, elapsed_s=elapsed, config=_resolved_config(args))
     _write_artifact(args, "report.txt", report.to_text())
     _write_artifact(args, "report.json", report.to_json())
@@ -287,8 +299,7 @@ def _cmd_estimate_btc(args: argparse.Namespace) -> None:
     m_hat, profile = btc_estimate_threshold(
         dictionary, args.alpha, range(args.m_min, m_max + 1)
     )
-    csv = "m,beta_avg\n" + "\n".join(f"{m},{b:.10f}" for m, b in profile) + "\n"
-    _write_artifact(args, "beta_profile.csv", csv)
+    _write_lines(args, "beta_profile.csv", ["m,beta_avg", *(f"{m},{b:.10f}" for m, b in profile)])
     print(f"M_hat={m_hat}")
 
 
@@ -297,16 +308,9 @@ def _cmd_estimate_kbtc(args: argparse.Namespace) -> None:
     dictionary = build_dictionary(train, labels, norm_mode=NORM_RANGE)
     grid = _parse_gamma_grid(args.gamma_grid)
     gamma_hat, m_hat, gamma_profile, m_profile = kbtc_estimate_params(dictionary, args.alpha, grid)
-    _write_artifact(
-        args,
-        "gamma_profile.csv",
-        "gamma,beta_avg\n" + "\n".join(f"{g:.10g},{b:.10f}" for g, b in gamma_profile) + "\n",
-    )
-    _write_artifact(
-        args,
-        "m_profile.csv",
-        "m,beta_avg\n" + "\n".join(f"{m},{b:.10f}" for m, b in m_profile) + "\n",
-    )
+    rows = (f"{g:.10g},{b:.10f}" for g, b in gamma_profile)
+    _write_lines(args, "gamma_profile.csv", ["gamma,beta_avg", *rows])
+    _write_lines(args, "m_profile.csv", ["m,beta_avg", *(f"{m},{b:.10f}" for m, b in m_profile)])
     print(f"gamma_hat={gamma_hat:.10g} M_hat={m_hat}")
 
 
@@ -382,10 +386,8 @@ def _cmd_roc(args: argparse.Namespace) -> None:
     invalid = _load_margins(args.invalid_margins)
     taus = np.linspace(0.0, 1.0, args.points + 2)[1:-1]
     curve = roc_sweep(valid, invalid, taus)
-    csv = "tau,tpr,fpr\n" + "\n".join(
-        f"{t:.6f},{tpr:.6f},{fpr:.6f}" for t, tpr, fpr in curve
-    ) + "\n"
-    _write_artifact(args, "roc.csv", csv)
+    rows = (f"{t:.6f},{tpr:.6f},{fpr:.6f}" for t, tpr, fpr in curve)
+    _write_lines(args, "roc.csv", ["tau,tpr,fpr", *rows])
     print(f"wrote {len(curve)} ROC points")
 
 
@@ -404,10 +406,8 @@ def _cmd_synth_recovery(args: argparse.Namespace) -> None:
     x[support] = rng.choice([-1.0, 1.0], size=args.k)
     y = A @ x
     x_hat = recover_sparse(A, y, args.m, args.alpha)
-    csv = "true,recovered\n" + "\n".join(
-        f"{t:.10f},{r:.10f}" for t, r in zip(x, x_hat)
-    ) + "\n"
-    _write_artifact(args, "recovery.csv", csv)
+    rows = (f"{t:.10f},{r:.10f}" for t, r in zip(x, x_hat))
+    _write_lines(args, "recovery.csv", ["true,recovered", *rows])
     rel_err = np.linalg.norm(x_hat - x) / np.linalg.norm(x)
     print(f"relative_l2_error={rel_err:.6f}")
 

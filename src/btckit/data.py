@@ -54,14 +54,14 @@ class ScalingParams:
 class Dictionary:
     """Column matrix of labeled training samples with class partitions.
 
-    ``columns`` is B x N (feature dim x sample count). ``class_offsets``
-    lists (class_id, start, count) triples with contiguous partitions in
-    ascending class_id order. Class ids are densely renumbered 1..C;
-    ``original_labels`` maps each dense id back to the input label.
+    ``columns`` is B x N (feature dim x sample count). ``labels`` holds the
+    dense class id 1..C of every column; it is non-decreasing, so each class
+    is one contiguous run of columns. ``original_labels`` maps each dense id
+    back to the input label.
     """
 
     columns: np.ndarray
-    class_offsets: tuple[tuple[int, int, int], ...]
+    labels: np.ndarray
     norm_mode: str
     scaling: ScalingParams | None = None
     original_labels: tuple[int, ...] = ()
@@ -76,20 +76,8 @@ class Dictionary:
 
     @property
     def n_classes(self) -> int:
-        return len(self.class_offsets)
-
-    def class_slice(self, class_id: int) -> slice:
-        for cid, start, count in self.class_offsets:
-            if cid == class_id:
-                return slice(start, start + count)
-        raise ConfigError(f"unknown class id {class_id}")
-
-    def column_labels(self) -> np.ndarray:
-        """Dense class id of every column, in column order."""
-        labels = np.empty(self.n_samples, dtype=np.int64)
-        for cid, start, count in self.class_offsets:
-            labels[start : start + count] = cid
-        return labels
+        # the largest dense id, since labels is non-decreasing
+        return int(self.labels[-1])
 
 
 def load_dense_dataset(features_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -197,32 +185,23 @@ def build_dictionary(
     if norm_mode not in (NORM_L2, NORM_RANGE):
         raise ConfigError(f"unknown norm_mode {norm_mode!r}")
 
-    unique = np.unique(labels)
+    unique, dense = np.unique(labels, return_inverse=True)
+    order = np.argsort(dense, kind="stable")
     scaling = None
     if norm_mode == NORM_RANGE:
         scaling = ScalingParams.fit(samples)
         samples = scaling.apply(samples)
 
-    cols = []
-    offsets = []
-    start = 0
-    for dense_id, orig in enumerate(unique, start=1):
-        idx = np.flatnonzero(labels == orig)
-        block = samples[idx].T  # (B, N_i)
-        if norm_mode == NORM_L2:
-            norms = np.linalg.norm(block, axis=0)
-            if np.any(norms == 0):
-                bad = idx[int(np.argmin(norms))]
-                raise DataFormatError(f"zero-norm column at sample index {bad}")
-            block = block / norms
-        cols.append(block)
-        offsets.append((dense_id, start, len(idx)))
-        start += len(idx)
-
-    columns = np.concatenate(cols, axis=1)
+    columns = samples[order].T  # (B, N), F-contiguous
+    if norm_mode == NORM_L2:
+        norms = np.linalg.norm(columns, axis=0)
+        if np.any(norms == 0):
+            bad = order[int(np.argmin(norms))]
+            raise DataFormatError(f"zero-norm column at sample index {bad}")
+        columns = columns / norms
     return Dictionary(
         columns=columns,
-        class_offsets=tuple(offsets),
+        labels=dense[order] + 1,
         norm_mode=norm_mode,
         scaling=scaling,
         original_labels=tuple(int(u) for u in unique),

@@ -107,7 +107,9 @@ def roc_sweep(
 
     TPR is the fraction of valid samples accepted (margin >= tau), FPR the
     fraction of invalid samples accepted. Default grid: 1001 points on
-    the open interval (0, 1).
+    the open interval (0, 1). Each margin set is sorted once; the margins
+    below tau are counted by a left binary search, so a tie at tau is
+    accepted, and a NaN margin never is.
     """
     valid = np.asarray(valid_margins, dtype=np.float64)
     invalid = np.asarray(invalid_margins, dtype=np.float64)
@@ -115,12 +117,13 @@ def roc_sweep(
         raise ConfigError("both margin sets must be non-empty")
     if tau_grid is None:
         tau_grid = np.linspace(0.0, 1.0, 1003)[1:-1]
-    curve = []
-    for tau in tau_grid:
-        tpr = float(np.mean(valid >= tau))
-        fpr = float(np.mean(invalid >= tau))
-        curve.append((float(tau), tpr, fpr))
-    return curve
+    taus = np.asarray(tau_grid, dtype=np.float64)
+
+    def accepted(margins: np.ndarray) -> np.ndarray:
+        ranked = np.sort(margins[~np.isnan(margins)])
+        return (ranked.size - np.searchsorted(ranked, taus, side="left")) / margins.size
+
+    return list(zip(taus.tolist(), accepted(valid).tolist(), accepted(invalid).tolist()))
 
 
 def roc_auc(curve: list[tuple[float, float, float]]) -> float:

@@ -14,16 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from btckit.btc import BtcParams, ResidualVector, SparseCode, beta_column, threshold_argmin
+from btckit.btc import BtcParams, ResidualVector, SparseCode, threshold_argmin
 from btckit.data import Dictionary
 from btckit.errors import ConfigError, NumericalError
-from btckit.linalg import (
-    beta_profile,
-    chunks,
-    gram_residuals,
-    top_m_rows,
-    top_m_select,
-)
+from btckit.linalg import batch_residuals, beta_profile, chunks, gram_residuals, top_m_select
 
 KERNEL_RBF = "rbf"
 KERNEL_LINEAR = "linear"
@@ -108,24 +102,17 @@ def kbtc_residuals(
 
     The dictionary's ``scaling``, if any, is applied one chunk at a time, so
     rows arrive as loaded (:func:`kbtc_classify` takes one already scaled).
-    The predicted class of row i is ``argmin(residuals[i]) + 1``. Rows are
-    classified in chunks, one kernel block each, so memory stays bounded. Y
-    may have any real float dtype: each chunk is widened to float64 as it is
-    classified, so a float32 Y is never copied whole.
+    See :func:`batch_residuals` for chunking and dtypes.
     """
     _check(dictionary, params, cache)
-    Y = np.asarray(Y)
-    labels, scaling = dictionary.column_labels(), dictionary.scaling
-    out = np.empty((Y.shape[0], dictionary.n_classes))
-    for sl in chunks(Y.shape[0], dictionary.n_samples + params.m * params.m):
+    scaling = dictionary.scaling
+
+    def prepare(rows: np.ndarray, first: int) -> tuple:
         # scaling.apply widens the chunk itself
-        rows = np.asarray(Y[sl], dtype=np.float64) if scaling is None else scaling.apply(Y[sl])
-        V, kyy = _kernel_rows(dictionary, rows, params.spec)
-        support = top_m_rows(V, params.m)
-        out[sl], _ = gram_residuals(
-            cache.gram, labels, dictionary.n_classes, V, kyy, support, params.alpha, first=sl.start
-        )
-    return out
+        rows = np.asarray(rows, dtype=np.float64) if scaling is None else scaling.apply(rows)
+        return *_kernel_rows(dictionary, rows, params.spec), None
+
+    return batch_residuals(dictionary, Y, params.m, params.alpha, cache.gram, prepare)
 
 
 def kbtc_classify(
@@ -143,12 +130,9 @@ def kbtc_classify(
     """
     _check(dictionary, params, cache)
     V, kyy = _kernel_rows(dictionary, np.asarray(y, dtype=np.float64)[None, :], params.spec)
-    if support is None:
-        support = top_m_select(V[0], params.m)
-    else:
-        support = np.asarray(support, dtype=np.int64)
+    support = top_m_select(V[0], params.m) if support is None else np.asarray(support, np.int64)
     residuals, coeffs = gram_residuals(
-        cache.gram, dictionary.column_labels(), dictionary.n_classes, V, kyy,
+        cache.gram, dictionary.labels, dictionary.n_classes, V, kyy,
         support[None, :], params.alpha,
     )
     code = SparseCode(support=support, coefficients=coeffs[0], ambient_size=dictionary.n_samples)
@@ -178,50 +162,10 @@ def kbtc_residual_alt(
 ) -> ResidualVector:
     """Alternative residual |K(y,y) - x_j' K(A_j,y)| per class."""
     V, kyy = _kernel_rows(dictionary, np.asarray(y, dtype=np.float64)[None, :], cache.spec)
-    labels = dictionary.column_labels()[code.support] - 1
+    labels = dictionary.labels[code.support] - 1
     weights = code.coefficients * V[0, code.support]
     cross = np.bincount(labels, weights=weights, minlength=dictionary.n_classes)
     return ResidualVector(values=np.abs(kyy[0] - cross))
-
-
-def kbtc_beta_sample(
-    dictionary: Dictionary,
-    class_id: int,
-    sample_idx: int,
-    params: KbtcParams,
-    cache: KernelCache,
-) -> float:
-    """Kernel sufficient-identification ratio for one training column."""
-    _check(dictionary, params, cache)
-    col = beta_column(dictionary, class_id, sample_idx, params)
-    return float(beta_profile(dictionary, [params.m], params.alpha, cache.gram, [col])[0, 0])
-
-
-def kbtc_gamma_profile(
-    dictionary: Dictionary,
-    alpha: float,
-    gamma_grid: list[float] | np.ndarray | None = None,
-) -> list[tuple[float, float]]:
-    """Average identification ratio over all (M, sample) pairs per gamma.
-
-    For each grid point, beta is averaged over M = 1..B-1 and all N
-    columns with a shared kernel cache. M = 1 leaves an empty support and
-    contributes exactly 1.
-    """
-    gammas, table = _gamma_m_table(dictionary, alpha, gamma_grid)
-    return list(zip(gammas, table.mean(axis=1).tolist()))
-
-
-def _gamma_m_table(
-    dictionary: Dictionary, alpha: float, gamma_grid: list[float] | np.ndarray | None
-) -> tuple[list[float], np.ndarray]:
-    """The grid and its G x (B-1) table: beta averaged over all columns per (gamma, M = 1..B-1)."""
-    gammas = [float(g) for g in (default_gamma_grid() if gamma_grid is None else gamma_grid)]
-    if not gammas:
-        raise ConfigError("empty gamma grid")
-    ms = range(1, dictionary.n_features)
-    grams = (kernel_cache(dictionary, KernelSpec(gamma=g)).gram for g in gammas)
-    return gammas, np.array([beta_profile(dictionary, ms, alpha, gram).mean(axis=1) for gram in grams])
 
 
 def kbtc_beta_average_m(
@@ -238,14 +182,21 @@ def kbtc_estimate_params(
 ) -> tuple[float, int, list[tuple[float, float]], list[tuple[int, float]]]:
     """Two-stage estimation: gamma from the grid, then M at the chosen gamma.
 
-    Returns (gamma_hat, m_hat, gamma_profile, m_profile). The gamma search
-    already averages beta per M at every grid point, so the M profile
-    (M = 2..B-1) is the chosen gamma's row of it. The first grid point
-    attaining the minimum wins for gamma; the smallest M wins on M ties.
+    Returns (gamma_hat, m_hat, gamma_profile, m_profile). A grid point's
+    gamma profile value is beta averaged over all columns and M = 1..B-1 on
+    one kernel Gram (M = 1 leaves an empty support and contributes exactly
+    1). The M profile (M = 2..B-1) is the chosen gamma's per-M row of those
+    averages. The first grid point attaining the minimum wins for gamma; the
+    smallest M wins on M ties.
     """
     if dictionary.n_features < 3:
         raise ConfigError("feature dimension too small to estimate M")
-    gammas, table = _gamma_m_table(dictionary, alpha, gamma_grid)
+    gammas = [float(g) for g in (default_gamma_grid() if gamma_grid is None else gamma_grid)]
+    if not gammas:
+        raise ConfigError("empty gamma grid")
+    ms = range(1, dictionary.n_features)
+    grams = (kernel_cache(dictionary, KernelSpec(gamma=g)).gram for g in gammas)
+    table = np.array([beta_profile(dictionary, ms, alpha, gram).mean(axis=1) for gram in grams])
     means = table.mean(axis=1)
     best = int(np.argmin(means))
     m_hat, m_profile = threshold_argmin(range(2, dictionary.n_features), table[best, 1:])

@@ -9,7 +9,7 @@ coherence.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -144,6 +144,33 @@ def top_m_select(v: np.ndarray, m: int) -> np.ndarray:
     return top_m_rows(np.asarray(v, dtype=np.float64)[None, :], m)[0]
 
 
+def batch_residuals(
+    dictionary: Dictionary,
+    Y: np.ndarray,
+    m: int,
+    alpha: float,
+    gram: np.ndarray,
+    prepare: Callable[[np.ndarray, int], tuple],
+) -> np.ndarray:
+    """Per-class residuals (S x C) of every row of Y; row i predicts ``argmin(out[i]) + 1``.
+
+    Rows go in chunks, so memory stays bounded for any S, and Y may have any
+    real float dtype: ``prepare(rows, first)`` widens one chunk (row ``first``
+    onwards) and returns its values K(A, y), each K(y, y) and the
+    ``features`` of :func:`gram_residuals` (or None). Each chunk is coded on
+    its top-M support.
+    """
+    Y = np.asarray(Y)
+    out = np.empty((Y.shape[0], dictionary.n_classes))
+    for sl in chunks(Y.shape[0], dictionary.n_samples + m * m):
+        V, kyy, features = prepare(Y[sl], sl.start)
+        out[sl], _ = gram_residuals(
+            gram, dictionary.labels, dictionary.n_classes, V, kyy, top_m_rows(V, m), alpha,
+            sl.start, features,
+        )
+    return out
+
+
 def gram_residuals(
     gram: np.ndarray,
     col_labels: np.ndarray,
@@ -268,7 +295,7 @@ def beta_profile(
     one Cholesky factorization per column serves every M.
     ``gram`` is the kernel matrix of the columns, by default A'A.
     """
-    n_classes, col_labels = dictionary.n_classes, dictionary.column_labels()
+    n_classes, col_labels = dictionary.n_classes, dictionary.labels
     if n_classes < 2:
         raise ConfigError("beta needs at least 2 classes")
     if not 0 < alpha < 1:

@@ -1,9 +1,14 @@
-"""Shared synthetic data generators for the test suite."""
+"""Shared synthetic data generators and helpers for the test suite."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
+import btckit
 from btckit import build_dictionary
 from btckit.data import NORM_L2
 
@@ -80,6 +85,36 @@ def make_train_mask(gt, n_per_class, seed):
         pick = rng.choice(len(rr), n_per_class, replace=False)
         mask[rr[pick], cc[pick]] = c
     return mask
+
+
+# Address-space cap of run_main_capped: a normal estimate-btc peaks at a VmPeak of ~180 MB
+CAPPED_MAIN_BYTES = 1 << 30
+
+
+def run_main_capped(argv, limit=CAPPED_MAIN_BYTES):
+    """Run ``btckit.cli.main(argv)`` in a child process whose address space is capped.
+
+    Returns (exit code, stderr). An input that would make the program grow
+    without bound fails fast with a MemoryError there, instead of exhausting
+    the machine.
+    """
+    # the child caps itself before it imports anything: a preexec_fn is unsafe
+    # in this process, which runs BLAS threads
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from btckit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(btckit.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return out.returncode, out.stderr
 
 
 @pytest.fixture

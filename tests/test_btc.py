@@ -6,8 +6,8 @@ from numpy.random import default_rng
 
 from btckit import (
     BtcParams,
+    beta_profile,
     btc_beta_average,
-    btc_beta_sample,
     btc_classify,
     btc_estimate_threshold,
     build_dictionary,
@@ -29,8 +29,8 @@ def oracle_classify(dictionary, y, m, alpha, support=None):
     D = A[:, support]
     x = np.linalg.solve(D.T @ D + alpha * np.eye(len(support)), D.T @ y)
     residuals = []
-    for cid, start, count in dictionary.class_offsets:
-        in_class = (support >= start) & (support < start + count)
+    for cid in range(1, dictionary.n_classes + 1):
+        in_class = dictionary.labels[support] == cid
         if not in_class.any():
             residuals.append(np.linalg.norm(y))
             continue
@@ -47,7 +47,7 @@ def oracle_beta(dictionary, col, m, alpha):
     ranking = [i for i in sorted(range(A.shape[1]), key=lambda i: (-abs(v[i]), i)) if i != col]
     support = np.array(ranking[: m - 1])
     residuals, _ = oracle_classify(dictionary, a, m, alpha, support=support)
-    own = int(dictionary.column_labels()[col])
+    own = int(dictionary.labels[col])
     rivals = np.delete(residuals, own - 1)
     return residuals[own - 1] / rivals.min()
 
@@ -75,9 +75,9 @@ class TestBtcClassify:
     def test_matches_dense_oracle_with_class2_combination(self):
         rng = default_rng(5)
         d = random_dictionary(rng, b=10, n=30, n_classes=3)
-        sl = d.class_slice(2)
-        weights = rng.uniform(0.5, 1.0, sl.stop - sl.start)
-        y = d.columns[:, sl] @ weights + rng.normal(0, 0.01, 10)
+        own = d.labels == 2
+        weights = rng.uniform(0.5, 1.0, np.count_nonzero(own))
+        y = d.columns[:, own] @ weights + rng.normal(0, 0.01, 10)
         res, _ = btc_classify(d, y, BtcParams(m=8, alpha=0.01))
         oracle, _ = oracle_classify(d, y, 8, 0.01)
         np.testing.assert_allclose(res.values, oracle, atol=1e-9)
@@ -100,11 +100,8 @@ class TestBtcClassify:
         res, code = btc_classify(d, rng.normal(size=12), BtcParams(m=7, alpha=0.01))
         assert code.support.shape == (7,)
         assert len(set(code.support.tolist())) == 7
-        counts = sum(
-            int(((code.support >= start) & (code.support < start + count)).sum())
-            for _, start, count in d.class_offsets
-        )
-        assert counts == 7
+        counts = np.bincount(d.labels[code.support], minlength=d.n_classes + 1)
+        assert counts[0] == 0 and counts.sum() == 7
 
     def test_scale_invariance(self, rng):
         d = random_dictionary(default_rng(3), b=8, n=20)
@@ -146,7 +143,7 @@ class TestCorrClassify:
         y = d.columns[:, idx] + rng.normal(0, 0.05, 10)
         v = d.columns.T @ (y / np.linalg.norm(y))
         assert np.argmax(np.abs(v)) == idx and v[idx] > 0
-        assert corr_classify(d, y, 1) == int(d.column_labels()[idx])
+        assert corr_classify(d, y, 1) == int(d.labels[idx])
 
     def test_orthogonal_sample_ties_to_class_one(self):
         d = build_dictionary(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), [1, 2])
@@ -162,7 +159,7 @@ class TestCorrClassify:
             keep = sorted(range(21), key=lambda i: (-abs(v[i]), i))[:m]
             sums = np.zeros(d.n_classes)
             for i in keep:
-                sums[int(d.column_labels()[i]) - 1] += v[i]
+                sums[int(d.labels[i]) - 1] += v[i]
             assert corr_classify(d, y, m) == int(np.argmax(sums)) + 1
 
 
@@ -175,9 +172,8 @@ class TestBetaSample:
             + [base[1] + default_rng(10 + i).normal(0, 1e-3, 5) for i in range(3)]
         )
         d = build_dictionary(samples, [1, 1, 1, 2, 2, 2])
-        for cid in (1, 2):
-            for idx in range(3):
-                assert btc_beta_sample(d, cid, idx, BtcParams(m=3, alpha=0.01)) < 1.0
+        for col in range(6):
+            assert beta_profile(d, [3], 0.01, cols=[col])[0, 0] < 1.0
 
     def test_orthogonal_atom_unidentifiable(self):
         samples = np.array(
@@ -185,7 +181,7 @@ class TestBetaSample:
         )
         d = build_dictionary(samples, [1, 2, 2, 2])
         # the class-1 atom is orthogonal to every other column
-        beta = btc_beta_sample(d, 1, 0, BtcParams(m=2, alpha=0.001))
+        beta = beta_profile(d, [2], 0.001, cols=[0])[0, 0]
         assert beta >= 1.0
 
     def test_matches_oracle(self):
@@ -194,27 +190,20 @@ class TestBetaSample:
             d = random_dictionary(rng, b=8, n=18, n_classes=2)
             m = int(rng.integers(2, 8))
             col = int(rng.integers(0, 18))
-            cid = int(d.column_labels()[col])
-            idx = col - d.class_slice(cid).start
-            got = btc_beta_sample(d, cid, idx, BtcParams(m=m, alpha=0.01))
+            got = beta_profile(d, [m], 0.01, cols=[col])[0, 0]
             assert got == pytest.approx(oracle_beta(d, col, m, 0.01), abs=1e-9)
-
-    def test_m_below_two_rejected(self):
-        d = build_dictionary(np.eye(3), [1, 2, 3])
-        with pytest.raises(ConfigError, match="M >= 2"):
-            btc_beta_sample(d, 1, 0, BtcParams(m=1, alpha=0.01))
 
 
 class TestBetaAverage:
+    def test_m_below_two_rejected(self):
+        d = build_dictionary(np.eye(3), [1, 2, 3])
+        with pytest.raises(ConfigError, match="M >= 2"):
+            btc_beta_average(d, 1, 0.01)
+
     def test_mean_of_two_samples(self):
         samples = default_rng(11).normal(size=(2, 4))
         d = build_dictionary(np.vstack([samples, samples * 1.01]), [1, 2, 1, 2])
-        params = BtcParams(m=2, alpha=0.01)
-        per_sample = [
-            btc_beta_sample(d, cid, idx, params)
-            for cid in (1, 2)
-            for idx in range(2)
-        ]
+        per_sample = [beta_profile(d, [2], 0.01, cols=[col])[0, 0] for col in range(4)]
         assert btc_beta_average(d, 2, 0.01) == pytest.approx(np.mean(per_sample), abs=1e-12)
 
     def test_single_class_rejected(self):
@@ -225,14 +214,7 @@ class TestBetaAverage:
     def test_three_class_matches_direct_summation(self):
         rng = default_rng(13)
         d = random_dictionary(rng, b=7, n=15, n_classes=3)
-        params = BtcParams(m=4, alpha=0.01)
-        direct = np.mean(
-            [
-                btc_beta_sample(d, cid, idx, params)
-                for cid, start, count in d.class_offsets
-                for idx in range(count)
-            ]
-        )
+        direct = np.mean([beta_profile(d, [4], 0.01, cols=[col])[0, 0] for col in range(15)])
         assert btc_beta_average(d, 4, 0.01) == pytest.approx(direct, abs=1e-12)
 
 
@@ -277,9 +259,8 @@ class TestProp1Consistency:
             d = build_dictionary(samples, labels)
             m = 5
             for col in range(16):
-                cid = int(d.column_labels()[col])
-                idx = col - d.class_slice(cid).start
-                beta = btc_beta_sample(d, cid, idx, BtcParams(m=m, alpha=0.01))
+                cid = int(d.labels[col])
+                beta = beta_profile(d, [m], 0.01, cols=[col])[0, 0]
                 if beta >= 1.0:
                     continue
                 keep = np.arange(16) != col

@@ -15,7 +15,7 @@ from btckit import build_dictionary, kbtc_estimate_params, load_hsi_cube, save_h
 from btckit.cli import _parse_gamma_grid, main
 from btckit.data import NORM_RANGE, save_label_map
 from btckit.errors import ConfigError
-from tests.conftest import make_blobs, make_blocky_scene, make_train_mask
+from tests.conftest import make_blobs, make_blocky_scene, make_train_mask, run_main_capped
 
 
 def _write_dense(tmp_path, prefix, samples, labels):
@@ -502,20 +502,30 @@ class TestOtherCommands:
         assert rc == 2
         assert not (tmp_path / "rec").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["roc", "--points", "100000000000"],
-        ["synth-recovery", "--n", "1000000000000", "--k", "1"],
-        ["synth-recovery", "--b", "1000000000000"],
-    ], ids=["roc-points", "synth-recovery-n", "synth-recovery-b"])
-    def test_size_above_its_bound_exit_code(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv, message", [
+        (["roc", "--points", "100000000000"], "must be"),
+        (["synth-recovery", "--n", "1000000000000", "--k", "1"], "must be"),
+        (["synth-recovery", "--b", "1000000000000"], "must be"),
+        (["estimate-btc", "--m-max", "100000000000"], "M range must lie"),
+        (["estimate-btc", "--m-min", "-100000000000", "--m-max", "3"], "M range must lie"),
+        (["estimate-kbtc", "--gamma-grid", "2^-100000000000..2^1"], "at most 1000 points"),
+    ], ids=[
+        "roc-points", "synth-recovery-n", "synth-recovery-b",
+        "estimate-btc-m-max", "estimate-btc-m-min", "estimate-kbtc-gamma-grid",
+    ])
+    def test_size_above_its_bound_exit_code(self, tmp_path, argv, message):
+        # in a capped child: an unchecked size fails fast there with a MemoryError
         if argv[0] == "roc":
             (tmp_path / "valid.txt").write_text("0.9\n")
             (tmp_path / "invalid.txt").write_text("0.1\n")
             argv = argv + ["--valid-margins", str(tmp_path / "valid.txt"),
                            "--invalid-margins", str(tmp_path / "invalid.txt")]
-        assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert "must be" in err and "Traceback" not in err
+        elif argv[0].startswith("estimate"):
+            tr_x, tr_y = _write_dense(tmp_path, "tr", *make_blobs(5, 2, 4, 0, 0.5))
+            argv = argv + ["--train", tr_x, "--train-labels", tr_y]
+        rc, err = run_main_capped(argv + ["--output-dir", str(tmp_path / "out")])
+        assert rc == 2, err
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_synth_recovery_command(self, tmp_path, capsys):

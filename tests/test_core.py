@@ -16,7 +16,6 @@ from btckit import (
     KbtcParams,
     KernelCache,
     KernelSpec,
-    btc_beta_sample,
     btc_classify,
     btc_estimate_threshold,
     btc_residuals,
@@ -24,7 +23,6 @@ from btckit import (
     build_residual_cube,
     ensemble_classify,
     ensemble_residuals,
-    kbtc_beta_sample,
     kbtc_classify,
     kbtc_estimate_params,
     kbtc_residuals,
@@ -113,13 +111,8 @@ class TestBatchEqualsSingle:
         _, d, _ = _problem(*problem)
         with _tiny_chunks():
             _, profile = btc_estimate_threshold(d, 0.01)
-        labels = d.column_labels()
         for m, beta in profile[: d.n_samples - 1]:
-            params = BtcParams(m=m, alpha=0.01)
-            single = [
-                btc_beta_sample(d, int(labels[g]), g - d.class_slice(int(labels[g])).start, params)
-                for g in range(d.n_samples)
-            ]
+            single = [beta_profile(d, [m], 0.01, cols=[g])[0, 0] for g in range(d.n_samples)]
             assert beta == pytest.approx(np.mean(single), rel=0, abs=1e-12)
 
     def test_kbtc_cube_scales_raw_pixels(self):
@@ -137,15 +130,9 @@ class TestBatchEqualsSingle:
     def test_kbtc_beta_profile(self):
         _, d, _ = _problem(7, 5, 6, 2, 3, norm_mode=NORM_RANGE)
         gamma_hat, _, _, m_profile = kbtc_estimate_params(d, 1e-6, gamma_grid=[0.5, 2.0])
-        spec = KernelSpec(kind="rbf", gamma=gamma_hat)
-        cache = kernel_cache(d, spec)
-        labels = d.column_labels()
+        gram = kernel_cache(d, KernelSpec(kind="rbf", gamma=gamma_hat)).gram
         for m, beta in m_profile:
-            params = KbtcParams(m=m, alpha=1e-6, spec=spec)
-            single = [
-                kbtc_beta_sample(d, int(labels[g]), g - d.class_slice(int(labels[g])).start, params, cache)
-                for g in range(d.n_samples)
-            ]
+            single = [beta_profile(d, [m], 1e-6, gram, [g])[0, 0] for g in range(d.n_samples)]
             assert beta == pytest.approx(np.mean(single), rel=0, abs=1e-12)
 
 
@@ -233,7 +220,7 @@ class TestTies:
         cols = d.columns.copy()
         cols[-1] = 0.0
         cols /= np.linalg.norm(cols, axis=0)
-        flat = Dictionary(cols, d.class_offsets, NORM_L2)
+        flat = Dictionary(cols, d.labels, NORM_L2)
         Y = np.zeros((s, d.n_features))
         Y[:, -1] = rng.uniform(0.5, 2.0, s)
         residuals = btc_residuals(flat, Y, BtcParams(m=m, alpha=0.01))
@@ -296,7 +283,7 @@ class TestNumericalPolicy:
         spec = KernelSpec(kind="linear")
         for seed in range(5):
             cols = 1e4 * default_rng(seed).uniform(0, 1, (8, 12))
-            d = Dictionary(cols, ((1, 0, 6), (2, 6, 6)), NORM_RANGE)
+            d = Dictionary(cols, np.repeat([1, 2], 6), NORM_RANGE)
             cache = kernel_cache(d, spec)
             params = KbtcParams(m=3, alpha=1e-9, spec=spec)
             residuals = kbtc_residuals(d, cols.T, params, cache)
@@ -317,7 +304,7 @@ class TestNumericalPolicy:
             atoms += [a, a + 1.4e-5 * u]
             pairs.append((a, u))
         d = build_dictionary(np.array(atoms), np.repeat([1, 2], 10), NORM_L2)
-        A, labels = d.columns, d.column_labels()
+        A, labels = d.columns, d.labels
         Y = np.array([sum(rng.normal() * a + rng.normal() * u for a, u in pairs[k:k + 5]) for k in (0, 5) * 10])
         Y /= np.linalg.norm(Y, axis=1)[:, None]
         residuals = btc_residuals(d, Y, BtcParams(m=10, alpha=alpha))
@@ -417,7 +404,7 @@ class TestBetaProfile:
         gram = _tie_exact_gram(d.columns, d.columns.T @ d.columns)
         with _tiny_chunks():
             got = beta_profile(d, ms, 0.01, gram)
-        ref = _beta_reference(gram, d.column_labels(), ms, 0.01, d.columns.T)
+        ref = _beta_reference(gram, d.labels, ms, 0.01, d.columns.T)
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
 
     @SETTINGS
@@ -426,7 +413,7 @@ class TestBetaProfile:
         d = self._dictionary(problem, duplicate, NORM_RANGE)
         gram = _tie_exact_gram(d.columns, kernel_cache(d, KernelSpec(kind="rbf", gamma=gamma)).gram)
         got = beta_profile(d, ms, 0.01, gram)
-        ref = _beta_reference(gram, d.column_labels(), ms, 0.01)
+        ref = _beta_reference(gram, d.labels, ms, 0.01)
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
 
     def test_rankings_past_one_inverse_block_equal_reference(self):
@@ -435,7 +422,7 @@ class TestBetaProfile:
         gram = d.columns.T @ d.columns
         ms = [40, 2, 17, 33, 40]
         got = beta_profile(d, ms, 0.01, gram)
-        ref = _beta_reference(gram, d.column_labels(), ms, 0.01, d.columns.T)
+        ref = _beta_reference(gram, d.labels, ms, 0.01, d.columns.T)
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize("k", [1, 5, 33, 70])
@@ -466,7 +453,7 @@ class TestBetaProfile:
 
     def test_radicand_below_floor_raises(self):
         # |K(a0, a1)| = 10 > sqrt(K(a0, a0) K(a1, a1)) breaks Cauchy-Schwarz: the radicand is about -99
-        d = Dictionary(np.eye(2), ((1, 0, 1), (2, 1, 1)), NORM_L2)
+        d = Dictionary(np.eye(2), np.array([1, 2]), NORM_L2)
         gram = np.array([[1.0, 10.0], [10.0, 1.0]])
         with pytest.raises(NumericalError, match="sample 0: negative residual radicand"):
             beta_profile(d, [2], 0.01, gram)

@@ -133,7 +133,9 @@ class TestBuildDictionary:
     def test_interleaved_labels_grouped(self):
         samples = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
         d = build_dictionary(samples, [2, 1, 2], NORM_L2)
-        assert d.class_offsets == ((1, 0, 1), (2, 1, 2))
+        assert d.labels.tolist() == [1, 2, 2]
+        # one transposed gather: the columns are F-contiguous
+        assert d.columns.flags.f_contiguous
         # class 1 column is the [0,1] sample; class 2 keeps input order
         np.testing.assert_allclose(d.columns[:, 0], [0.0, 1.0])
         np.testing.assert_allclose(d.columns[:, 1], [1.0, 0.0])
@@ -143,7 +145,7 @@ class TestBuildDictionary:
         samples = np.eye(3)
         d = build_dictionary(samples, [7, 3, 7], NORM_L2)
         assert d.original_labels == (3, 7)
-        assert [c for c, _, _ in d.class_offsets] == [1, 2]
+        assert d.labels.tolist() == [1, 2, 2]
 
     def test_range_scaling_maps_min_max_exactly(self, rng):
         samples = rng.normal(size=(12, 5)) * [1, 10, 100, 0.1, 2]
@@ -163,7 +165,7 @@ class TestBuildDictionary:
         perm = rng.permutation(20)
         d1 = build_dictionary(samples, labels, NORM_L2)
         d2 = build_dictionary(samples[perm], labels[perm], NORM_L2)
-        assert d1.class_offsets == d2.class_offsets
+        assert np.array_equal(d1.labels, d2.labels)
         # downstream per-class residuals are order-invariant within a class
         params = BtcParams(m=4, alpha=0.01)
         y = rng.normal(size=6)

@@ -182,6 +182,19 @@ class TestRocSweep:
         with pytest.raises(ConfigError):
             roc_sweep(np.array([]), np.array([0.5]))
 
+    def test_equals_the_per_tau_definition_with_ties_at_tau(self):
+        rng = default_rng(17)
+        for _ in range(20):
+            # margins on a coarse grid, and taus that hit them exactly
+            valid = rng.integers(0, 11, int(rng.integers(1, 60))) / 10
+            invalid = rng.integers(0, 11, int(rng.integers(1, 60))) / 10
+            valid[0] = np.nan
+            taus = np.concatenate([np.linspace(0.0, 1.0, 21), valid[1:4], [-1.0, 2.0, np.inf]])
+            expected = [
+                (float(t), float(np.mean(valid >= t)), float(np.mean(invalid >= t))) for t in taus
+            ]
+            assert roc_sweep(valid, invalid, taus) == expected
+
 
 class TestRocAuc:
     def test_perfect_separation_is_one(self):

@@ -18,10 +18,8 @@ from btckit import (
     build_dictionary,
     default_gamma_grid,
     kbtc_beta_average_m,
-    kbtc_beta_sample,
     kbtc_classify,
     kbtc_estimate_params,
-    kbtc_gamma_profile,
     kbtc_residual_alt,
     kernel_cache,
     kernel_matrix,
@@ -47,8 +45,8 @@ def oracle_kbtc(dictionary, y, m, alpha, gamma, support=None):
     K = np.array([[rbf_oracle(A[:, i], A[:, j], gamma) for j in support] for i in support])
     x = np.linalg.solve(K + alpha * np.eye(len(support)), v[support])
     residuals = []
-    for cid, start, count in dictionary.class_offsets:
-        in_class = (support >= start) & (support < start + count)
+    for cid in range(1, dictionary.n_classes + 1):
+        in_class = dictionary.labels[support] == cid
         if not in_class.any():
             residuals.append(1.0)
             continue
@@ -329,18 +327,14 @@ class TestKbtcBeta:
 
     def test_tight_clusters_are_identifiable(self):
         d = self._clustered()
-        spec = KernelSpec(kind="rbf", gamma=1.0)
-        cache = kernel_cache(d, spec)
-        params = KbtcParams(m=3, alpha=1e-9, spec=spec)
-        betas = [kbtc_beta_sample(d, cid, i, params, cache) for cid in (1, 2) for i in range(6)]
+        gram = kernel_cache(d, KernelSpec(kind="rbf", gamma=1.0)).gram
+        betas = [beta_profile(d, [3], 1e-9, gram, [col])[0, 0] for col in range(12)]
         assert max(betas) < 0.5
 
     def test_large_gamma_limit_is_one(self):
         d = self._clustered()
-        spec = KernelSpec(kind="rbf", gamma=1e6)
-        cache = kernel_cache(d, spec)
-        params = KbtcParams(m=3, alpha=1e-9, spec=spec)
-        beta = kbtc_beta_sample(d, 1, 0, params, cache)
+        gram = kernel_cache(d, KernelSpec(kind="rbf", gamma=1e6)).gram
+        beta = beta_profile(d, [3], 1e-9, gram, [0])[0, 0]
         assert beta == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_independent_oracle(self):
@@ -350,10 +344,9 @@ class TestKbtcBeta:
         spec = KernelSpec(kind="rbf", gamma=gamma)
         cache = kernel_cache(d, spec)
         for col in range(14):
-            cid = int(d.column_labels()[col])
-            idx = col - d.class_slice(cid).start
+            cid = int(d.labels[col])
             m = 4
-            got = kbtc_beta_sample(d, cid, idx, KbtcParams(m=m, alpha=1e-4, spec=spec), cache)
+            got = beta_profile(d, [m], 1e-4, cache.gram, [col])[0, 0]
             # oracle: rank kernel values, drop self, take m-1, solve, residuals
             a = d.columns[:, col]
             v = np.array([rbf_oracle(d.columns[:, i], a, gamma) for i in range(14)])
@@ -363,25 +356,16 @@ class TestKbtcBeta:
             rivals = np.delete(residuals, cid - 1)
             assert got == pytest.approx(residuals[cid - 1] / rivals.min(), abs=1e-9)
 
-    def test_cache_spec_mismatch_rejected(self):
-        d = self._clustered()
-        cache = kernel_cache(d, KernelSpec(kind="rbf", gamma=8.0))
-        params = KbtcParams(m=3, alpha=1e-9, spec=KernelSpec(kind="rbf", gamma=1.0))
-        with pytest.raises(ConfigError, match="different spec"):
-            kbtc_beta_sample(d, 1, 0, params, cache)
-
     def test_prop2_consistency(self):
         # identifiable training columns classify to their own class
         d = self._clustered()
         spec = KernelSpec(kind="rbf", gamma=1.0)
         cache = kernel_cache(d, spec)
         params = KbtcParams(m=3, alpha=1e-9, spec=spec)
-        for cid in (1, 2):
-            sl = d.class_slice(cid)
-            for idx in range(sl.stop - sl.start):
-                if kbtc_beta_sample(d, cid, idx, params, cache) < 1.0:
-                    res, _ = kbtc_classify(d, d.columns[:, sl.start + idx], params, cache)
-                    assert res.predicted_class == cid
+        for col in range(d.n_samples):
+            if beta_profile(d, [3], 1e-9, cache.gram, [col])[0, 0] < 1.0:
+                res, _ = kbtc_classify(d, d.columns[:, col], params, cache)
+                assert res.predicted_class == d.labels[col]
 
 
 class TestEstimation:
@@ -449,4 +433,4 @@ class TestEstimation:
     def test_empty_grid_rejected(self):
         d = TestKbtcBeta()._clustered()
         with pytest.raises(ConfigError, match="empty gamma grid"):
-            kbtc_gamma_profile(d, 1e-9, gamma_grid=[])
+            kbtc_estimate_params(d, 1e-9, gamma_grid=[])
