@@ -23,7 +23,11 @@ from btckit.data import (
     split_by_mask,
 )
 from btckit.linalg import (
+    KERNEL_LINEAR,
+    KERNEL_RBF,
+    KernelSpec,
     beta_profile,
+    kernel_matrix,
     mutual_coherence,
     pca_first_component,
     solve_spd_regularized,
@@ -41,11 +45,8 @@ from btckit.btc import (
     recover_sparse,
 )
 from btckit.kbtc import (
-    KERNEL_LINEAR,
-    KERNEL_RBF,
     KbtcParams,
     KernelCache,
-    KernelSpec,
     default_gamma_grid,
     kbtc_beta_average_m,
     kbtc_classify,
@@ -53,7 +54,6 @@ from btckit.kbtc import (
     kbtc_residual_alt,
     kbtc_residuals,
     kernel_cache,
-    kernel_matrix,
 )
 from btckit.ensemble import (
     ensemble_classify,

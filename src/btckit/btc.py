@@ -17,6 +17,8 @@ import numpy as np
 from btckit.data import Dictionary, NORM_L2
 from btckit.errors import ConfigError
 from btckit.linalg import (
+    KERNEL_LINEAR,
+    KernelSpec,
     beta_profile,
     batch_residuals,
     gram_residuals,
@@ -71,7 +73,8 @@ def btc_residuals(dictionary: Dictionary, Y: np.ndarray, params: BtcParams) -> n
     """Per-class residuals (S x C) of every row of Y: the batch form of :func:`btc_classify`.
 
     Each row is L2-normalized; its residuals are reconstruction errors in
-    feature space. See :func:`batch_residuals` for chunking and dtypes.
+    feature space. The supports' Gram blocks are those of the linear kernel;
+    see :func:`batch_residuals` for chunking, dtypes and where they come from.
     """
     params.validate(dictionary.n_features, dictionary.n_samples)
     atoms = np.ascontiguousarray(dictionary.columns.T)
@@ -80,8 +83,8 @@ def btc_residuals(dictionary: Dictionary, Y: np.ndarray, params: BtcParams) -> n
         Yn, V = _correlations(dictionary, np.asarray(rows, dtype=np.float64), first)
         return V, np.ones(len(V)), (atoms, Yn)
 
-    gram = dictionary.columns.T @ dictionary.columns
-    return batch_residuals(dictionary, Y, params.m, params.alpha, gram, prepare)
+    linear = KernelSpec(kind=KERNEL_LINEAR)
+    return batch_residuals(dictionary, Y, params.m, params.alpha, linear, prepare)
 
 
 def btc_classify(
@@ -103,7 +106,7 @@ def btc_classify(
     # the core on the support alone: its Gram block, labels and correlations
     D = dictionary.columns[:, support]
     residuals, coeffs = gram_residuals(
-        D.T @ D, dictionary.labels[support], dictionary.n_classes, V[:, support],
+        (D.T @ D)[None], dictionary.labels[support], dictionary.n_classes, V[:, support],
         np.ones(1), np.arange(support.size)[None, :], params.alpha, features=(D.T, Yn),
     )
     code = SparseCode(support=support, coefficients=coeffs[0], ambient_size=dictionary.n_samples)

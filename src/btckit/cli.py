@@ -32,7 +32,6 @@ from btckit import (  # noqa: F401
     evaluate,
     kbtc_estimate_params,
     kbtc_residuals,
-    kernel_cache,
     load_dense_dataset,
     load_hsi_cube,
     recover_sparse,
@@ -268,15 +267,14 @@ def _cmd_classify(args: argparse.Namespace) -> None:
     test, test_labels = load_dense_dataset(args.test, args.test_labels)
     start = time.perf_counter()
 
+    norm_mode = NORM_L2 if args.classifier == "btc" else NORM_RANGE
+    dictionary = build_dictionary(train, train_labels, norm_mode=norm_mode)
+    del train  # the dictionary holds its own copy
     if args.classifier == "btc":
-        dictionary = build_dictionary(train, train_labels, norm_mode=NORM_L2)
         residuals = btc_residuals(dictionary, test, BtcParams(m=args.m, alpha=args.alpha))
     else:
-        dictionary = build_dictionary(train, train_labels, norm_mode=NORM_RANGE)
         spec = KernelSpec(kind="rbf", gamma=args.gamma)
-        params = KbtcParams(m=args.m, alpha=args.alpha, spec=spec)
-        cache = kernel_cache(dictionary, spec)
-        residuals = kbtc_residuals(dictionary, test, params, cache)
+        residuals = kbtc_residuals(dictionary, test, KbtcParams(m=args.m, alpha=args.alpha, spec=spec))
 
     original = np.asarray(dictionary.original_labels)[np.argmin(residuals, axis=1)]
     _write_predictions(args, original, test_labels, time.perf_counter() - start)
@@ -329,12 +327,13 @@ def _cmd_classify_hsi(args: argparse.Namespace) -> None:
         params = KbtcParams(
             m=args.m, alpha=args.alpha, spec=KernelSpec(kind="rbf", gamma=args.gamma)
         )
+    del train  # the dictionary holds its own copy
 
     wls = WlsParams(lam=args.wls_lambda, alpha_wls=args.wls_alpha)
     masked, pixelwise, guidance = classify_pixels(cube, dictionary, params, args.smoothing)
     # nothing left refers to the cube: dropping it here unmaps it before the
     # smoothing, whose sparse LU factor sets the command's peak memory
-    del cube, train, dictionary
+    del cube, dictionary
     final = smooth_and_decide(masked, guidance, args.smoothing, args.window, wls)
     elapsed = time.perf_counter() - start
 
@@ -376,6 +375,9 @@ def _load_margins(path: str) -> np.ndarray:
     values = _read_csv(path, np.float64, "non-numeric margin", width=1).ravel()
     if not values.size:
         raise DataFormatError(f"{path}: no margins")
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise DataFormatError(f"{path}: non-finite margin at index {int(np.argmin(finite))}")
     return values
 
 

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 from collections.abc import Iterator
 from itertools import chain
+from typing import TextIO
 
 import numpy as np
 
@@ -85,16 +86,15 @@ def load_dense_dataset(features_path: str, labels_path: str) -> tuple[np.ndarray
 
     A single header row is auto-detected when the first cell of the first
     line is non-numeric. The labels file holds one integer per line. Both
-    are parsed line by line (:func:`_read_csv`), so parsing holds about the
-    result and not the files' text. Returns (samples, labels) with samples
-    shaped (n_samples, n_features).
+    are parsed by :func:`_read_csv`, which streams the file, so parsing holds
+    about the result and not the files' text. Returns (samples, labels) with
+    samples shaped (n_samples, n_features).
     """
     samples = _read_csv(features_path, np.float64, "non-numeric cell", header=True)
     if not samples.size:
         raise DataFormatError(f"{features_path}: no samples")
-    bad = np.argwhere(~np.isfinite(samples))
-    if bad.size:
-        row, col = bad[0]
+    if not np.isfinite(samples).all():
+        row, col = np.argwhere(~np.isfinite(samples))[0]
         raise DataFormatError(f"{features_path}: non-finite value at sample {row}, column {col}")
 
     labels = _read_csv(labels_path, np.int64, "non-integer label", width=1).ravel()
@@ -110,13 +110,53 @@ def _read_csv(
 ) -> np.ndarray:
     """Parse a CSV of numbers into a 2-D ``dtype`` array without holding the file's lines.
 
-    Stripped non-blank lines stream to ``np.loadtxt`` through a generator.
     With ``header``, a first line whose first cell is non-numeric is dropped.
-    A line without ``width`` cells (default: the first line's count) is
-    reported by its number among the data lines, an unparsable cell with
-    ``bad_cell``, and bytes that are not UTF-8 as such. An input without data
-    lines gives an array of no rows.
+    ``np.loadtxt`` reads the open file from the first data line on. A file it
+    refuses, or whose column count is not ``width``, is read again line by
+    line (:func:`_read_csv_checked`), which accepts whitespace-only lines
+    and otherwise words the error. An input without data lines gives an
+    array of no rows.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            start = _first_data_line(fh, header)
+            if start is None:
+                # loadtxt would warn that the input contained no data
+                return np.empty((0, width or 0), dtype=dtype)
+            fh.seek(start)
+            values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=dtype)
+        if width is None or values.shape[1] == width:
+            return values
+    except ValueError:  # UnicodeDecodeError too: the checked reader words every refusal
+        pass
+    return _read_csv_checked(path, dtype, bad_cell, width, header)
+
+
+def _first_data_line(fh: TextIO, header: bool) -> int | None:
+    """Position of the first non-blank line of ``fh``, past a non-numeric header line
+    with ``header``; None when no such line exists."""
+    while True:
+        start = fh.tell()
+        line = fh.readline()
+        if not line:
+            return None
+        if line.strip():
+            break
+    if header:
+        try:
+            float(line.strip().split(",")[0])
+        except ValueError:
+            return _first_data_line(fh, header=False)
+    return start
+
+
+def _read_csv_checked(
+    path: str, dtype: type, bad_cell: str, width: int | None, header: bool
+) -> np.ndarray:
+    """:func:`_read_csv` line by line: stripped non-blank lines stream to ``np.loadtxt``
+    through a generator. A line without ``width`` cells (default: the first line's
+    count) is reported by its number among the data lines, an unparsable cell with
+    ``bad_cell``, and bytes that are not UTF-8 as such."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = (ln for ln in map(str.strip, fh) if ln)
@@ -277,7 +317,7 @@ def save_hsi_cube(cube: np.ndarray, header_path: str, raw_path: str, dtype: str 
 
 def load_label_map(path: str) -> np.ndarray:
     """Load a CSV grid of non-negative labels (0 means unlabeled) as an (H, W) int64
-    array, parsed line by line (:func:`_read_csv`)."""
+    array, parsed by :func:`_read_csv`."""
     labels = _read_csv(path, np.int64, "non-integer label")
     if not labels.size:
         raise DataFormatError(f"{path}: empty label map")

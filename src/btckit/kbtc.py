@@ -1,8 +1,8 @@
-"""Kernel basic thresholding classifier with RBF kernel and Gram caching.
+"""Kernel basic thresholding classifier with the RBF kernel.
 
 The linear correlation and reconstruction steps are replaced by their
 kernel-space counterparts: selection on K(A, y), a regularized solve on the
-cached Gram submatrix, and residuals expanded entirely in kernel
+support's kernel block, and residuals expanded entirely in kernel
 evaluations. Both the kernel width gamma and the threshold M are estimated
 off-line from the dictionary via the averaged sufficient-identification
 ratio.
@@ -16,25 +16,16 @@ import numpy as np
 
 from btckit.btc import BtcParams, ResidualVector, SparseCode, threshold_argmin
 from btckit.data import Dictionary
-from btckit.errors import ConfigError, NumericalError
-from btckit.linalg import batch_residuals, beta_profile, chunks, gram_residuals, top_m_select
-
-KERNEL_RBF = "rbf"
-KERNEL_LINEAR = "linear"
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel kind and, for the RBF kernel, its width gamma."""
-
-    kind: str = KERNEL_RBF
-    gamma: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in (KERNEL_RBF, KERNEL_LINEAR):
-            raise ConfigError(f"unknown kernel {self.kind!r}")
-        if self.kind == KERNEL_RBF and not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise ConfigError(f"gamma must be finite and positive, got {self.gamma}")
+from btckit.errors import ConfigError
+from btckit.linalg import (
+    KERNEL_RBF,
+    KernelSpec,
+    batch_residuals,
+    beta_profile,
+    gram_residuals,
+    kernel_matrix,
+    top_m_select,
+)
 
 
 @dataclass(frozen=True)
@@ -52,59 +43,21 @@ class KbtcParams(BtcParams):
     spec: KernelSpec
 
 
-def kernel_matrix(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Pairwise kernel evaluations between the columns of X and Y.
-
-    The RBF value is exp(-gamma * max(|x|^2 + |y|^2 - 2 x'y, 0)), so every
-    value lies in [0, 1]: selection, which always ranks by |v|, ranks RBF
-    values by their signed size. The result is the only full-size array:
-    X'Y is formed in it, then each row block of :func:`chunks` becomes
-    kernel values in place, so a call holds the result plus about
-    CHUNK_BYTES of work. A non-finite value, or RBF column norm, raises NumericalError.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if spec.kind == KERNEL_RBF:
-        # before the result exists, so X * X and Y * Y do not add to its peak
-        sq_x = np.sum(X * X, axis=0)
-        sq_y = np.sum(Y * Y, axis=0)
-        # an infinite norm meeting X'Y = -inf gives exp(-inf) = 0, which the block check passes
-        if not (np.isfinite(sq_x).all() and np.isfinite(sq_y).all()):
-            raise NumericalError("non-finite kernel input: a squared column norm is not finite")
-    out = X.T @ Y
-    for sl in chunks(out.shape[0], out.shape[1]):
-        block = out[sl]
-        if spec.kind == KERNEL_RBF:
-            # -2P + S rounds as S - 2P does: negation is exact, addition commutes
-            block *= -2.0
-            block += sq_x[sl, None] + sq_y
-            np.maximum(block, 0.0, out=block)
-            block *= -spec.gamma
-            np.exp(block, out=block)
-        if not np.all(np.isfinite(block)):
-            raise NumericalError("non-finite kernel value")
-    return out
-
-
 def kernel_cache(dictionary: Dictionary, spec: KernelSpec) -> KernelCache:
     """Compute the full training Gram matrix once."""
     gram = kernel_matrix(dictionary.columns, dictionary.columns, spec)
     return KernelCache(gram=gram, spec=spec)
 
 
-def kbtc_residuals(
-    dictionary: Dictionary,
-    Y: np.ndarray,
-    params: KbtcParams,
-    cache: KernelCache,
-) -> np.ndarray:
+def kbtc_residuals(dictionary: Dictionary, Y: np.ndarray, params: KbtcParams) -> np.ndarray:
     """Per-class residuals (S x C) of every raw row of Y: the batch form of :func:`kbtc_classify`.
 
     The dictionary's ``scaling``, if any, is applied one chunk at a time, so
     rows arrive as loaded (:func:`kbtc_classify` takes one already scaled).
-    See :func:`batch_residuals` for chunking and dtypes.
+    See :func:`batch_residuals` for chunking, dtypes and where the supports'
+    kernel blocks come from.
     """
-    _check(dictionary, params, cache)
+    params.validate(dictionary.n_features, dictionary.n_samples)
     scaling = dictionary.scaling
 
     def prepare(rows: np.ndarray, first: int) -> tuple:
@@ -112,7 +65,7 @@ def kbtc_residuals(
         rows = np.asarray(rows, dtype=np.float64) if scaling is None else scaling.apply(rows)
         return *_kernel_rows(dictionary, rows, params.spec), None
 
-    return batch_residuals(dictionary, Y, params.m, params.alpha, cache.gram, prepare)
+    return batch_residuals(dictionary, Y, params.m, params.alpha, params.spec, prepare)
 
 
 def kbtc_classify(
@@ -128,21 +81,17 @@ def kbtc_classify(
     eps(j)^2 = K(y,y) - 2 x_j' K(A_j,y) + x_j' K(A_j,A_j) x_j.
     An explicit ``support`` overrides the selection step.
     """
-    _check(dictionary, params, cache)
-    V, kyy = _kernel_rows(dictionary, np.asarray(y, dtype=np.float64)[None, :], params.spec)
-    support = top_m_select(V[0], params.m) if support is None else np.asarray(support, np.int64)
-    residuals, coeffs = gram_residuals(
-        cache.gram, dictionary.labels, dictionary.n_classes, V, kyy,
-        support[None, :], params.alpha,
-    )
-    code = SparseCode(support=support, coefficients=coeffs[0], ambient_size=dictionary.n_samples)
-    return ResidualVector(values=residuals[0]), code
-
-
-def _check(dictionary: Dictionary, params: KbtcParams, cache: KernelCache) -> None:
     params.validate(dictionary.n_features, dictionary.n_samples)
     if cache.spec != params.spec:
         raise ConfigError("kernel cache was built with a different spec")
+    V, kyy = _kernel_rows(dictionary, np.asarray(y, dtype=np.float64)[None, :], params.spec)
+    support = top_m_select(V[0], params.m) if support is None else np.asarray(support, np.int64)
+    residuals, coeffs = gram_residuals(
+        cache.gram[np.ix_(support, support)][None], dictionary.labels, dictionary.n_classes, V,
+        kyy, support[None, :], params.alpha,
+    )
+    code = SparseCode(support=support, coefficients=coeffs[0], ambient_size=dictionary.n_samples)
+    return ResidualVector(values=residuals[0]), code
 
 
 def _kernel_rows(

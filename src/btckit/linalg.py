@@ -1,15 +1,16 @@
 """Dense numerical kernels shared by the classifiers.
 
-The batch-first Gram-space core every classifier runs on (top-M selection
-with ascending-index ties, stacked regularized SPD solves, per-class
-residuals in Gram arithmetic or from explicit features, identification
-ratios), the first principal component for guidance images, and mutual
-coherence.
+The batch-first Gram-space core every classifier runs on (the linear and
+RBF kernels, top-M selection with ascending-index ties, stacked regularized
+SPD solves, per-class residuals in Gram arithmetic or from explicit
+features, identification ratios), the first principal component for
+guidance images, and mutual coherence.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +30,76 @@ RADICAND_FLOOR = -1e-10
 # _tril_inverse inverts diagonal blocks of at most this order by LU
 TRIL_BLOCK = 32
 
+KERNEL_RBF = "rbf"
+KERNEL_LINEAR = "linear"
+
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """Kernel kind and, for the RBF kernel, its width gamma."""
+
+    kind: str = KERNEL_RBF
+    gamma: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in (KERNEL_RBF, KERNEL_LINEAR):
+            raise ConfigError(f"unknown kernel {self.kind!r}")
+        if self.kind == KERNEL_RBF and not (np.isfinite(self.gamma) and self.gamma > 0):
+            raise ConfigError(f"gamma must be finite and positive, got {self.gamma}")
+
 
 def chunks(n_items: int, floats_per_item: int) -> Iterator[slice]:
     """Consecutive slices of range(n_items), each holding about CHUNK_BYTES of work."""
     step = max(1, CHUNK_BYTES // (8 * max(floats_per_item, 1)))
     for lo in range(0, n_items, step):
         yield slice(lo, min(lo + step, n_items))
+
+
+def kernel_values(
+    P: np.ndarray, spec: KernelSpec, sq_a: np.ndarray | None, sq_b: np.ndarray | None
+) -> np.ndarray:
+    """Turn inner products P (..., i, j) = a_i'b_j into kernel values K(a_i, b_j) in place; return P.
+
+    The linear kernel is P itself. The RBF value is
+    exp(-gamma * max(|a_i|^2 + |b_j|^2 - 2 a_i'b_j, 0)), from the squared
+    norms ``sq_a`` (..., i) and ``sq_b`` (..., j), so it lies in [0, 1]:
+    selection, which always ranks by |v|, ranks RBF values by their signed
+    size. A non-finite value raises NumericalError.
+    """
+    if spec.kind == KERNEL_RBF:
+        # -2P + S rounds as S - 2P does: negation is exact, addition commutes
+        P *= -2.0
+        P += sq_a[..., :, None] + sq_b[..., None, :]
+        np.maximum(P, 0.0, out=P)
+        P *= -spec.gamma
+        np.exp(P, out=P)
+    if not np.all(np.isfinite(P)):
+        raise NumericalError("non-finite kernel value")
+    return P
+
+
+def kernel_matrix(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Pairwise kernel evaluations between the columns of X and Y (:func:`kernel_values`).
+
+    The result is the only full-size array: X'Y is formed in it, then each
+    row block of :func:`chunks` becomes kernel values in place, so a call
+    holds the result plus about CHUNK_BYTES of work. A non-finite value, or
+    RBF column norm, raises NumericalError.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    sq_x = sq_y = None
+    if spec.kind == KERNEL_RBF:
+        # before the result exists, so X * X and Y * Y do not add to its peak
+        sq_x = np.sum(X * X, axis=0)
+        sq_y = np.sum(Y * Y, axis=0)
+        # an infinite norm meeting X'Y = -inf gives exp(-inf) = 0, which the value check passes
+        if not (np.isfinite(sq_x).all() and np.isfinite(sq_y).all()):
+            raise NumericalError("non-finite kernel input: a squared column norm is not finite")
+    out = X.T @ Y
+    for sl in chunks(out.shape[0], out.shape[1]):
+        kernel_values(out[sl], spec, None if sq_x is None else sq_x[sl], sq_y)
+    return out
 
 
 def solve_spd_regularized(G: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
@@ -149,30 +214,69 @@ def batch_residuals(
     Y: np.ndarray,
     m: int,
     alpha: float,
-    gram: np.ndarray,
+    spec: KernelSpec,
     prepare: Callable[[np.ndarray, int], tuple],
 ) -> np.ndarray:
     """Per-class residuals (S x C) of every row of Y; row i predicts ``argmin(out[i]) + 1``.
 
     Rows go in chunks, so memory stays bounded for any S, and Y may have any
     real float dtype: ``prepare(rows, first)`` widens one chunk (row ``first``
-    onwards) and returns its values K(A, y), each K(y, y) and the
-    ``features`` of :func:`gram_residuals` (or None). Each chunk is coded on
-    its top-M support.
+    onwards) and returns its values K(A, y) under ``spec``, each K(y, y) and
+    the ``features`` of :func:`gram_residuals` (or None). Each chunk is
+    coded on its top-M support, which needs the M x M kernel block of every
+    row. When the batch's blocks would hold more entries than the N x N
+    kernel matrix (S M^2 > N^2), the matrix is built once and the blocks
+    are gathered from it; otherwise each block is formed from its support's
+    own columns (:func:`_support_blocks`) and no N x N array exists.
     """
     Y = np.asarray(Y)
+    columns, n = dictionary.columns, dictionary.n_samples
+    if Y.shape[0] * m * m > n * n:
+        gram = kernel_matrix(columns, columns, spec)
+
+        def blocks(support: np.ndarray) -> np.ndarray:
+            return gram[support[:, :, None], support[:, None, :]]
+
+    else:
+        atoms = np.ascontiguousarray(columns.T)
+        # the squared norms kernel_matrix would compute, so both sides take the same values
+        sq = np.sum(columns * columns, axis=0) if spec.kind == KERNEL_RBF else None
+
+        def blocks(support: np.ndarray) -> np.ndarray:
+            return _support_blocks(atoms, sq, support, spec)
+
     out = np.empty((Y.shape[0], dictionary.n_classes))
-    for sl in chunks(Y.shape[0], dictionary.n_samples + m * m):
+    for sl in chunks(Y.shape[0], n + m * m):
         V, kyy, features = prepare(Y[sl], sl.start)
+        support = top_m_rows(V, m)
         out[sl], _ = gram_residuals(
-            gram, dictionary.labels, dictionary.n_classes, V, kyy, top_m_rows(V, m), alpha,
+            blocks(support), dictionary.labels, dictionary.n_classes, V, kyy, support, alpha,
             sl.start, features,
         )
     return out
 
 
+def _support_blocks(
+    atoms: np.ndarray, sq: np.ndarray | None, support: np.ndarray, spec: KernelSpec
+) -> np.ndarray:
+    """Kernel blocks K(A_s, A_s) (S x M x M) of the S x M supports, from their own atoms.
+
+    ``atoms`` holds the dictionary columns as N x B rows and ``sq`` their
+    squared norms (RBF only). The atoms are gathered in sub-chunks of
+    about CHUNK_BYTES, each one batched product D D' and :func:`kernel_values`.
+    """
+    s, k = support.shape
+    G = np.empty((s, k, k))
+    for sl in chunks(s, k * atoms.shape[1]):
+        D = atoms[support[sl]]
+        np.matmul(D, D.transpose(0, 2, 1), out=G[sl])
+        norms = None if sq is None else sq[support[sl]]
+        kernel_values(G[sl], spec, norms, norms)
+    return G
+
+
 def gram_residuals(
-    gram: np.ndarray,
+    G: np.ndarray,
     col_labels: np.ndarray,
     n_classes: int,
     V: np.ndarray,
@@ -184,9 +288,10 @@ def gram_residuals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Code S samples on their S x k supports; return (S x C residuals, S x k codes).
 
-    ``gram`` is the N x N kernel matrix of dictionary columns A, ``col_labels``
-    their classes (1..C), ``V`` the S x N values K(A, y) and ``kyy`` each
-    K(y, y). Codes solve (G_s + alpha I) x = v_s; class j's residual is
+    ``G`` (S x k x k) holds each support's kernel block K(A_s, A_s) of the
+    dictionary columns A, ``col_labels`` the columns' classes (1..C), ``V``
+    the S x N values K(A, y) and ``kyy`` each K(y, y). Codes solve
+    (G_s + alpha I) x = v_s; class j's residual is
     sqrt(K(y,y) - 2 x_j'v_j + x_j'G_jj x_j) over its support atoms,
     sqrt(K(y,y)) without any. See RADICAND_FLOOR for negative radicands.
     With explicit ``features`` (A's columns as N x B rows and the S x B rows
@@ -196,7 +301,6 @@ def gram_residuals(
     s, k = support.shape
     kyy = np.asarray(kyy, dtype=np.float64)
     rows = np.arange(s)[:, None]
-    G = gram[support[:, :, None], support[:, None, :]]
     v = V[rows, support]
     try:
         x = solve_spd_regularized(G, v, alpha)

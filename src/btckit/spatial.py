@@ -18,7 +18,7 @@ import numpy as np
 from btckit.btc import BtcParams, btc_classify, btc_residuals  # noqa: F401
 from btckit.data import Dictionary
 from btckit.errors import BtckitError, ConfigError, NumericalError
-from btckit.kbtc import KbtcParams, kbtc_residuals, kernel_cache
+from btckit.kbtc import KbtcParams, kbtc_residuals
 from btckit.linalg import min_max, pca_first_component
 
 # SciPy is imported by the smoothing that uses it, so the commands and the
@@ -54,18 +54,18 @@ def build_residual_cube(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classify every pixel of an H x W x B cube; stack the residuals into an H x W x C cube.
 
-    BTC is used for :class:`BtcParams`, KBTC for :class:`KbtcParams` (on the
-    dictionary's kernel cache, built here); the whole cube goes through one
-    batch call, which widens the pixels to float64 one chunk at a time. The
-    whole cube is min-max normalized to [0, 1] with one scale, so residuals
-    stay comparable across layers. Also returns the pixel-wise (H, W) class
-    map. A pixel that fails raises NumericalError naming its (row, column).
+    BTC is used for :class:`BtcParams`, KBTC for :class:`KbtcParams`; the
+    whole cube goes through one batch call, which widens the pixels to
+    float64 one chunk at a time. The whole cube is min-max normalized to
+    [0, 1] with one scale, so residuals stay comparable across layers. Also
+    returns the pixel-wise (H, W) class map. A pixel that fails raises
+    NumericalError naming its (row, column).
     """
     h, w, bands = cube.shape
     pixels = cube.reshape(h * w, bands)
     try:
         if isinstance(params, KbtcParams):
-            flat = kbtc_residuals(dictionary, pixels, params, kernel_cache(dictionary, params.spec))
+            flat = kbtc_residuals(dictionary, pixels, params)
         else:
             flat = btc_residuals(dictionary, pixels, params)
     except BtckitError as exc:

@@ -64,7 +64,7 @@ def _rings_oa(d, x_te, y_te, gamma, m):
     """OA of KBTC on the raw test rows (one batch call; the dictionary's scaling applies)."""
     spec = KernelSpec(kind="rbf", gamma=gamma)
     params = KbtcParams(m=m, alpha=1e-9, spec=spec)
-    pred = np.argmin(kbtc_residuals(d, x_te, params, kernel_cache(d, spec)), axis=1) + 1
+    pred = np.argmin(kbtc_residuals(d, x_te, params), axis=1) + 1
     return float(np.mean(pred == y_te))
 
 

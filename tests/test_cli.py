@@ -484,6 +484,19 @@ class TestOtherCommands:
         ])
         assert rc == 3
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_margin_exit_code(self, tmp_path, capsys, bad):
+        (tmp_path / "valid.txt").write_text(f"0.9\n{bad}\n")
+        (tmp_path / "invalid.txt").write_text("0.1\n")
+        rc = main([
+            "roc", "--valid-margins", str(tmp_path / "valid.txt"),
+            "--invalid-margins", str(tmp_path / "invalid.txt"),
+            "--points", "3", "--output-dir", str(tmp_path / "roc"),
+        ])
+        assert rc == 3
+        assert "non-finite margin at index 1" in capsys.readouterr().err
+        assert not (tmp_path / "roc").exists()
+
     @pytest.mark.parametrize("points", ["-5", "0"])
     def test_roc_points_below_one_exit_code(self, tmp_path, points):
         (tmp_path / "valid.txt").write_text("0.9\n")

@@ -14,7 +14,6 @@ from btckit import (
     BtcParams,
     Dictionary,
     KbtcParams,
-    KernelCache,
     KernelSpec,
     btc_classify,
     btc_estimate_threshold,
@@ -29,7 +28,7 @@ from btckit import (
     kernel_cache,
     top_m_select,
 )
-from btckit import linalg, spatial
+from btckit import linalg
 from btckit.linalg import beta_profile, gram_residuals, top_m_rows
 from btckit.data import NORM_L2, NORM_RANGE
 from btckit.errors import ConfigError, NumericalError
@@ -88,7 +87,7 @@ class TestBatchEqualsSingle:
         single = np.array([kbtc_classify(d, y, params, cache)[0].values for y in d.scaling.apply(Y)])
         for chunking in (nullcontext(), _tiny_chunks()):
             with chunking:
-                batch = kbtc_residuals(d, Y, params, cache)
+                batch = kbtc_residuals(d, Y, params)
             np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
 
     @SETTINGS
@@ -134,6 +133,79 @@ class TestBatchEqualsSingle:
         for m, beta in m_profile:
             single = [beta_profile(d, [m], 1e-6, gram, [g])[0, 0] for g in range(d.n_samples)]
             assert beta == pytest.approx(np.mean(single), rel=0, abs=1e-12)
+
+
+def _block_calls(monkeypatch):
+    """A list that grows by one per call of the block side's helper."""
+    calls, real = [], linalg._support_blocks
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_support_blocks", counted)
+    return calls
+
+
+def _tied_problem(seed, norm_mode):
+    """12 columns of B = 6 in 3 classes, one of them in three exact copies across two classes,
+    and 5 rows, two of which equal that column: at M = 1 and 2 the M-th score ties."""
+    rng = default_rng(seed)
+    samples = rng.normal(size=(12, 6))
+    samples[[3, 4, 9]] = samples[3]
+    d = build_dictionary(samples, np.repeat([1, 2, 3], 4), norm_mode)
+    Y = rng.normal(size=(5, 6))
+    Y[[1, 3]] = samples[3]
+    return d, Y
+
+
+class TestBlockSideEqualsMatrixSide:
+    """Batches with S M^2 <= N^2 form each support's kernel block from its atoms; larger ones
+    gather it from the N x N matrix. The side is chosen by the batch size alone."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["btc", "linear", "rbf"])
+    @pytest.mark.parametrize("tiny", [False, True])
+    def test_sides_agree(self, monkeypatch, seed, m, kind, tiny):
+        d, Y = _tied_problem(seed, NORM_L2 if kind == "btc" else NORM_RANGE)
+        if kind == "btc":
+            params = BtcParams(m=m, alpha=0.01)
+            run = btc_residuals
+        else:
+            params = KbtcParams(m=m, alpha=1e-4, spec=KernelSpec(kind=kind, gamma=0.7))
+            run = kbtc_residuals
+        big = np.concatenate([Y] * (d.n_samples**2 // (len(Y) * m * m) + 1))
+        assert len(Y) * m * m <= d.n_samples**2 < len(big) * m * m
+        calls = _block_calls(monkeypatch)
+        with _tiny_chunks() if tiny else nullcontext():
+            blocks = run(d, Y, params)
+            assert calls
+            calls.clear()
+            matrix = run(d, big, params)
+            assert not calls
+        np.testing.assert_allclose(blocks, matrix[: len(Y)], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["btc", "rbf"])
+    def test_small_batch_holds_no_kernel_matrix(self, kind):
+        rng = default_rng(5)
+        n = 600
+        samples, labels = rng.normal(size=(n, 20)), np.repeat([1, 2, 3], n // 3)
+        if kind == "btc":
+            d, params, run = build_dictionary(samples, labels), BtcParams(m=5, alpha=0.01), btc_residuals
+        else:
+            d = build_dictionary(samples, labels, NORM_RANGE)
+            params = KbtcParams(m=5, alpha=1e-4, spec=KernelSpec(kind="rbf", gamma=0.5))
+            run = kbtc_residuals
+        Y = rng.normal(size=(8, 20))
+        tracemalloc.start()
+        try:
+            run(d, Y, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the N x N matrix alone would be n * n * 8 bytes
+        assert peak < n * n * 8 / 8
 
 
 def _float32_cube(seed, h, w, b):
@@ -246,24 +318,33 @@ class TestPermutationInvariance:
         np.testing.assert_allclose(a, p, rtol=0, atol=1e-10)
 
 
-def _forged_cache(d, spec, atom):
-    """The true Gram matrix with atom's self-kernel made negative: any support holding it is not PD."""
-    gram = kernel_cache(d, spec).gram.copy()
-    gram[atom, atom] = -1.0
-    return KernelCache(gram=gram, spec=spec)
+def _forge_blocks(monkeypatch, atom):
+    """Give atom a negative self-kernel in every kernel block the core receives: any support
+    holding it is not PD."""
+    real = linalg.gram_residuals
+
+    def forged(G, col_labels, n_classes, V, kyy, support, *args):
+        mine = support == atom
+        G = np.where(mine[:, :, None] & mine[:, None, :], -1.0, G)
+        return real(G, col_labels, n_classes, V, kyy, support, *args)
+
+    monkeypatch.setattr(linalg, "gram_residuals", forged)
 
 
 class TestNumericalPolicy:
-    def test_non_pd_system_names_the_sample(self):
+    def test_non_pd_system_names_the_sample(self, monkeypatch):
         rng = default_rng(3)
         train = rng.normal(size=(10, 4))
         d = build_dictionary(train, [1] * 5 + [2] * 5, NORM_RANGE)
         spec = KernelSpec(kind="rbf", gamma=1.0)
         params = KbtcParams(m=1, alpha=1e-6, spec=spec)
-        # with M = 1 each sample selects the atom it equals
-        Y = train[[0, 1, 2, 3, 7, 5]]
-        with _tiny_chunks(), pytest.raises(NumericalError, match="sample 4"):
-            kbtc_residuals(d, Y, params, _forged_cache(d, spec, 7))
+        _forge_blocks(monkeypatch, 7)
+        # 6 rows take the block side, 106 the matrix side (106 * 1^2 > 10^2)
+        for extra in (0, 100):
+            # with M = 1 each sample selects the atom it equals
+            Y = train[[0, 1, 2, 3, 7, 5] + [0] * extra]
+            with _tiny_chunks(), pytest.raises(NumericalError, match="sample 4"):
+                kbtc_residuals(d, Y, params)
 
     def test_non_pd_pixel_names_row_and_column(self, monkeypatch):
         rng = default_rng(4)
@@ -272,8 +353,7 @@ class TestNumericalPolicy:
         spec = KernelSpec(kind="rbf", gamma=1.0)
         params = KbtcParams(m=1, alpha=1e-6, spec=spec)
         cube = train[[0, 1, 2, 3, 5, 4]].reshape(2, 3, 5)  # atom 4 sits at pixel (1,2)
-        forged = _forged_cache(d, spec, 4)
-        monkeypatch.setattr(spatial, "kernel_cache", lambda *_: forged)
+        _forge_blocks(monkeypatch, 4)
         with pytest.raises(NumericalError, match=r"pixel \(1,2\)"):
             build_residual_cube(cube, d, params)
 
@@ -284,9 +364,8 @@ class TestNumericalPolicy:
         for seed in range(5):
             cols = 1e4 * default_rng(seed).uniform(0, 1, (8, 12))
             d = Dictionary(cols, np.repeat([1, 2], 6), NORM_RANGE)
-            cache = kernel_cache(d, spec)
             params = KbtcParams(m=3, alpha=1e-9, spec=spec)
-            residuals = kbtc_residuals(d, cols.T, params, cache)
+            residuals = kbtc_residuals(d, cols.T, params)
             assert np.all(residuals >= 0)
 
     def test_near_duplicate_atoms_at_tiny_alpha(self):
@@ -319,21 +398,22 @@ class TestNumericalPolicy:
                 assert got[j - 1] == pytest.approx(direct, rel=0, abs=1e-8)
         # the Gram form (linear KBTC on the same rows) stays within its rounding
         spec = KernelSpec(kind="linear")
-        kernel = kbtc_residuals(d, Y, KbtcParams(m=10, alpha=alpha, spec=spec), kernel_cache(d, spec))
+        kernel = kbtc_residuals(d, Y, KbtcParams(m=10, alpha=alpha, spec=spec))
         np.testing.assert_allclose(kernel, residuals, rtol=0, atol=1e-5)
 
     def test_forged_negative_radicand_raises(self):
         # |v| > sqrt(K(a,a) K(y,y)) breaks Cauchy-Schwarz: the radicand is about -99
         with pytest.raises(NumericalError, match="sample 0: negative residual radicand"):
             gram_residuals(
-                np.array([[1.0]]), np.array([1]), 2, np.array([[10.0]]), np.array([1.0]),
+                np.array([[[1.0]]]), np.array([1]), 2, np.array([[10.0]]), np.array([1.0]),
                 np.array([[0]]), 0.01,
             )
 
     def test_radicand_floor_is_relative_to_self_kernel(self):
         def residuals(kyy):
             empty = np.empty((1, 0), dtype=np.int64)
-            return gram_residuals(np.eye(2), np.array([1, 2]), 2, np.zeros((1, 2)), np.array([kyy]), empty, 0.01)[0]
+            blocks = np.empty((1, 0, 0))
+            return gram_residuals(blocks, np.array([1, 2]), 2, np.zeros((1, 2)), np.array([kyy]), empty, 0.01)[0]
 
         np.testing.assert_array_equal(residuals(-0.5e-10), 0.0)  # rounding: clamped
         with pytest.raises(NumericalError, match="negative residual radicand"):

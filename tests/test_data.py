@@ -25,7 +25,7 @@ from btckit import (
     save_label_map_pgm,
     split_by_mask,
 )
-from btckit import linalg
+from btckit import data, linalg
 from btckit.data import NORM_L2, NORM_RANGE
 from btckit.errors import DataFormatError
 
@@ -113,6 +113,40 @@ class TestLoadDenseDataset:
         l = _write(tmp_path / "y.csv", "")
         with pytest.raises(DataFormatError, match="no samples"):
             load_dense_dataset(f, l)
+
+    # CRLF line ends, spaces around cells, blank lines and a header
+    plain = ["h1,h2\r\n\r\n1.5 , -2\r\n\n 3e2,4 \r\n", "1,2\n3,4", "\n\n1\n2\n"]
+
+    @pytest.mark.parametrize("text", plain)
+    def test_loadtxt_reads_plain_files_without_the_checked_reader(self, tmp_path, text):
+        f = _write(tmp_path / "x.csv", text)
+        expected = data._read_csv_checked(f, np.float64, "non-numeric cell", None, True)
+        with patch.object(data, "_read_csv_checked", side_effect=AssertionError("fallback taken")):
+            got = data._read_csv(f, np.float64, "non-numeric cell", header=True)
+        np.testing.assert_array_equal(got, expected)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+
+    @pytest.mark.parametrize("text, width", [
+        ("1,2\n  \n3,4\n", None),  # a whitespace-only line: loadtxt refuses it, the checked reader skips it
+        ("1,2\n3,4\n", 1),  # loadtxt reads it, but with two columns where one is expected
+        ("1,2\n3\n", None),  # ragged
+        ("1,x\n", None),  # a bad cell
+    ])
+    def test_files_loadtxt_refuses_read_as_before(self, tmp_path, text, width):
+        f = _write(tmp_path / "x.csv", text)
+
+        def outcome(read, *args):
+            """The array read, or the message of the DataFormatError raised."""
+            try:
+                return read(f, np.float64, "non-numeric cell", width, *args)
+            except DataFormatError as exc:
+                return str(exc)
+
+        real = data._read_csv_checked
+        with patch.object(data, "_read_csv_checked", wraps=real) as checked:
+            got = outcome(data._read_csv)
+        assert checked.called
+        np.testing.assert_array_equal(got, outcome(real, False))
 
     def test_label_below_one(self, tmp_path):
         f = _write(tmp_path / "x.csv", "1,0\n0,1\n")
