@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 Subcommands tie together ingestion, parameter estimation, classification,
-smoothing, and evaluation. All flags are long-form; a flat key=value config
-file can supply defaults which explicit flags override. Every artifact is
+smoothing, and evaluation. All flags are long-form; each line of a flat
+key=value config file is read as a flag, which explicit flags override. Every artifact is
 written with a sidecar echoing the fully resolved configuration, and all
 randomness is seeded (default 0) for reproducibility.
 """
@@ -10,10 +10,12 @@ randomness is seeded (default 0) for reproducibility.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from typing import NoReturn
 
 import numpy as np
 
@@ -51,24 +53,24 @@ from btckit.data import (
 from btckit.errors import BtckitError, ConfigError, DataFormatError, NumericalError
 from btckit.linalg import mutual_coherence
 
-# Largest sizes the CLI accepts for arrays it allocates from a flag alone, so an
-# absurd value is a config error (exit 2), checked before anything is allocated
+# Largest values the CLI accepts for flags that size work from their value alone, so an
+# absurd value is a config error (exit 2), refused while the command line is parsed
 MAX_ROC_POINTS = 1_000_000
 MAX_RECOVERY_CELLS = 10_000_000  # B x N entries of the synth-recovery matrix: 80 MB of float64
 MAX_GAMMA_POINTS = 1000  # one kernel Gram and beta profile each: ~3 s per point at B=200, N=960
+MAX_WINDOW = 10_001  # box-filter side; the filter takes window^2 values per pixel
+MAX_MEMBERS = 1000  # ensemble members: one projection, dictionary and classification each
+INT64_MAX = 2**63 - 1  # the seed, and the int flags that the library checks against the data
 
 
 def main(argv: list[str] | None = None) -> int:
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        _apply_config_file(argv, commands)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config_tokens(argv, commands))
         if args.command is None:
             parser.print_help()
             return 2
-        if args.seed < 0:  # checked after parsing, so a config-file seed is too
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         args.func(args)
         return 0
     except ConfigError as exc:
@@ -85,128 +87,120 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals raise ConfigError, as every bad value does."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
+def _int_in(lo: int, hi: int, odd: bool = False) -> Callable[[str], int]:
+    """The argparse type of an integer flag in lo..hi, odd only with ``odd``."""
+    kind = "an odd integer" if odd else "an integer"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not lo <= value <= hi or (odd and value % 2 == 0):
+            raise argparse.ArgumentTypeError(f"must be {kind} in {lo}..{hi}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and the subcommand parsers by name."""
-    parser = argparse.ArgumentParser(prog="btckit", description=__doc__)
+    parser = _Parser(prog="btckit", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command")
+    count, size = _int_in(1, INT64_MAX), _int_in(1, MAX_RECOVERY_CELLS)
+    train, test = ("--train", "--train-labels"), ("--test", "--test-labels")
 
-    def common(p):
+    def command(name, help, func, *required):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="flat key=value config file; flags override")
         p.add_argument("--output-dir", default=".", help="artifact directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_in(0, INT64_MAX), default=0)
+        for flag in required:
+            p.add_argument(flag, required=True)
+        return p
 
-    p = sub.add_parser("classify", help="dense dataset classification with BTC or KBTC")
-    common(p)
-    p.add_argument("--train", required=True)
-    p.add_argument("--train-labels", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--test-labels", required=True)
+    p = command("classify", "dense dataset classification with BTC or KBTC", _cmd_classify, *train, *test)
     p.add_argument("--classifier", choices=["btc", "kbtc"], default="btc")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=count, required=True)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--gamma", type=float, default=1.0, help="RBF width (kbtc only)")
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("estimate-btc", help="threshold estimation from the dictionary")
-    common(p)
-    p.add_argument("--train", required=True)
-    p.add_argument("--train-labels", required=True)
+    p = command("estimate-btc", "threshold estimation from the dictionary", _cmd_estimate_btc, *train)
     p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--m-min", type=int, default=2)
-    p.add_argument("--m-max", type=int, default=0, help="default B-1")
-    p.set_defaults(func=_cmd_estimate_btc)
+    # the M range is checked by its ends against the dictionary
+    p.add_argument("--m-min", type=_int_in(-INT64_MAX, INT64_MAX), default=2)
+    p.add_argument("--m-max", type=_int_in(-INT64_MAX, INT64_MAX), default=0, help="default B-1")
 
-    p = sub.add_parser("estimate-kbtc", help="two-stage gamma and threshold estimation")
-    common(p)
-    p.add_argument("--train", required=True)
-    p.add_argument("--train-labels", required=True)
+    p = command("estimate-kbtc", "two-stage gamma and threshold estimation", _cmd_estimate_kbtc, *train)
     p.add_argument("--alpha", type=float, default=1e-9)
     p.add_argument("--gamma-grid", default="2^-10..2^1",
                    help=f"b^lo..b^hi range or comma list, at most {MAX_GAMMA_POINTS} points")
-    p.set_defaults(func=_cmd_estimate_kbtc)
 
-    p = sub.add_parser("classify-hsi", help="spatial-spectral cube classification")
-    common(p)
+    p = command("classify-hsi", "spatial-spectral cube classification", _cmd_classify_hsi)
     p.add_argument("--cube-header", required=True)
     p.add_argument("--cube-raw", required=True)
     p.add_argument("--gt", required=True, help="ground truth label map CSV")
     p.add_argument("--train-mask", required=True, help="training mask label map CSV")
     p.add_argument("--classifier", choices=["btc", "kbtc"], default="btc")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=count, required=True)
     p.add_argument("--alpha", type=float, default=1e-10)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--smoothing", choices=["none", "box", "wls"], default="wls")
-    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--window", type=_int_in(1, MAX_WINDOW, odd=True), default=5)
     p.add_argument("--wls-lambda", type=float, default=0.4)
     p.add_argument("--wls-alpha", type=float, default=0.9)
-    p.set_defaults(func=_cmd_classify_hsi)
 
-    p = sub.add_parser("ensemble", help="BTC-n with very sparse random projections")
-    common(p)
-    p.add_argument("--train", required=True)
-    p.add_argument("--train-labels", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--test-labels", required=True)
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--b", type=int, required=True, help="projected dimension")
-    p.add_argument("--s", type=int, default=3, help="projection sparsity")
-    p.add_argument("--m", type=int, required=True)
+    p = command("ensemble", "BTC-n with very sparse random projections", _cmd_ensemble, *train, *test)
+    p.add_argument("--n", type=_int_in(1, MAX_MEMBERS), default=5)
+    p.add_argument("--b", type=count, required=True, help="projected dimension")
+    p.add_argument("--s", type=count, default=3, help="projection sparsity")
+    p.add_argument("--m", type=count, required=True)
     p.add_argument("--alpha", type=float, default=0.01)
-    p.set_defaults(func=_cmd_ensemble)
 
-    p = sub.add_parser("roc", help="ROC sweep over rejection margins")
-    common(p)
+    p = command("roc", "ROC sweep over rejection margins", _cmd_roc)
     p.add_argument("--valid-margins", required=True, help="one margin per line")
     p.add_argument("--invalid-margins", required=True)
-    p.add_argument("--points", type=int, default=1001, help=f"thresholds, 1..{MAX_ROC_POINTS}")
-    p.set_defaults(func=_cmd_roc)
+    p.add_argument("--points", type=_int_in(1, MAX_ROC_POINTS), default=1001, help="thresholds")
 
-    p = sub.add_parser("synth-recovery", help="Gaussian sparse recovery demo")
-    common(p)
-    p.add_argument("--n", type=int, default=512, help=f"atoms; B x N <= {MAX_RECOVERY_CELLS}")
-    p.add_argument("--b", type=int, default=170, help=f"measurements; B x N <= {MAX_RECOVERY_CELLS}")
-    p.add_argument("--k", type=int, default=15)
-    p.add_argument("--m", type=int, default=120)
+    p = command("synth-recovery", "Gaussian sparse recovery demo", _cmd_synth_recovery)
+    p.add_argument("--n", type=size, default=512, help=f"atoms; B x N <= {MAX_RECOVERY_CELLS}")
+    p.add_argument("--b", type=size, default=170, help=f"measurements; B x N <= {MAX_RECOVERY_CELLS}")
+    p.add_argument("--k", type=size, default=15, help="nonzeros, at most N")
+    # the M x M Gram of the support holds at most MAX_RECOVERY_CELLS entries
+    p.add_argument("--m", type=_int_in(1, math.isqrt(MAX_RECOVERY_CELLS)), default=120)
     p.add_argument("--alpha", type=float, default=1e-4)
-    p.set_defaults(func=_cmd_synth_recovery)
 
-    p = sub.add_parser("coherence", help="mutual coherence of a dictionary")
-    common(p)
-    p.add_argument("--train", required=True)
-    p.add_argument("--train-labels", required=True)
-    p.set_defaults(func=_cmd_coherence)
-
+    command("coherence", "mutual coherence of a dictionary", _cmd_coherence, *train)
     return parser, sub.choices
 
 
-def _apply_config_file(argv: list[str], commands: dict[str, argparse.ArgumentParser]) -> None:
-    """Make the keys of a ``--config`` file the defaults of the chosen subcommand.
+def _with_config_tokens(argv: list[str], commands: dict[str, argparse.ArgumentParser]) -> list[str]:
+    """``argv`` with each ``key=value`` line of its ``--config`` file as a ``--key=value`` token.
 
-    The file is read before the command line is parsed, so a flag given
-    explicitly overrides the file, and a file key can supply a required flag.
+    The tokens go right after the subcommand, so the parser checks them as it
+    checks flags, and a flag given explicitly, coming later, overrides them.
     """
     if not argv or argv[0] not in commands:
-        return
-    pre = argparse.ArgumentParser(add_help=False)
+        return argv
+    pre = _Parser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv[1:])[0].config
     if not path:
-        return
-    actions = {
-        a.dest: a for a in commands[argv[0]]._actions if a.dest not in ("help", "config")
-    }
-    for lineno, key, value in _read_key_values(path, ConfigError):
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-        try:
-            value = (action.type or str)(value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad value for {key!r} at line {lineno}") from exc
-        if action.choices is not None and value not in action.choices:
-            raise ConfigError(f"{path}: {key!r} must be one of {list(action.choices)}")
-        action.default = value
-        action.required = False
+        return argv
+    tokens = []
+    for key, value in _read_key_values(path, ConfigError):
+        if key == "config":
+            raise ConfigError(f"{path}: a config file cannot name another")
+        tokens.append(f"--{key}={value}")
+    return [argv[0], *tokens, *argv[1:]]
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -382,8 +376,6 @@ def _load_margins(path: str) -> np.ndarray:
 
 
 def _cmd_roc(args: argparse.Namespace) -> None:
-    if not 1 <= args.points <= MAX_ROC_POINTS:
-        raise ConfigError(f"--points must be in 1..{MAX_ROC_POINTS}, got {args.points}")
     valid = _load_margins(args.valid_margins)
     invalid = _load_margins(args.invalid_margins)
     taus = np.linspace(0.0, 1.0, args.points + 2)[1:-1]
@@ -394,10 +386,8 @@ def _cmd_roc(args: argparse.Namespace) -> None:
 
 
 def _cmd_synth_recovery(args: argparse.Namespace) -> None:
-    if not 1 <= args.k <= args.n:
-        raise ConfigError(f"need 1 <= k <= n, got k={args.k}, n={args.n}")
-    if args.b < 1:
-        raise ConfigError(f"--b must be >= 1, got {args.b}")
+    if args.k > args.n:
+        raise ConfigError(f"need k <= n, got k={args.k}, n={args.n}")
     if args.b * args.n > MAX_RECOVERY_CELLS:
         raise ConfigError(f"--b x --n must be <= {MAX_RECOVERY_CELLS}, got {args.b} x {args.n}")
     rng = np.random.default_rng(args.seed)

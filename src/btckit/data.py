@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from collections.abc import Iterator
-from itertools import chain
 from typing import TextIO
 
 import numpy as np
@@ -134,7 +133,7 @@ def _read_csv(
 
 def _first_data_line(fh: TextIO, header: bool) -> int | None:
     """Position of the first non-blank line of ``fh``, past a non-numeric header line
-    with ``header``; None when no such line exists."""
+    with ``header``; None when no such line exists. The one rule of both CSV readers."""
     while True:
         start = fh.tell()
         line = fh.readline()
@@ -153,26 +152,23 @@ def _first_data_line(fh: TextIO, header: bool) -> int | None:
 def _read_csv_checked(
     path: str, dtype: type, bad_cell: str, width: int | None, header: bool
 ) -> np.ndarray:
-    """:func:`_read_csv` line by line: stripped non-blank lines stream to ``np.loadtxt``
-    through a generator. A line without ``width`` cells (default: the first line's
-    count) is reported by its number among the data lines, an unparsable cell with
-    ``bad_cell``, and bytes that are not UTF-8 as such."""
+    """:func:`_read_csv` line by line from the line :func:`_first_data_line` finds:
+    stripped non-blank lines stream to ``np.loadtxt`` through a generator. A line without
+    ``width`` cells (default: the first line's count) is reported by its number among the
+    data lines, an unparsable cell with ``bad_cell``, and bytes that are not UTF-8 as such."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = (ln for ln in map(str.strip, fh) if ln)
-            first = next(lines, None)
-            if header and first is not None:
-                try:
-                    float(first.split(",")[0])
-                except ValueError:
-                    first = next(lines, None)
-            if first is None:
+            start = _first_data_line(fh, header)
+            if start is None:
                 return np.empty((0, width or 0), dtype=dtype)
-            expected = first.count(",") + 1 if width is None else width
+            fh.seek(start)
+            expected = width
 
             def checked():
-                for lineno, line in enumerate(chain((first,), lines), start=1):
+                nonlocal expected
+                for lineno, line in enumerate((ln for ln in map(str.strip, fh) if ln), start=1):
                     n_cells = line.count(",") + 1
+                    expected = expected or n_cells
                     if n_cells != expected:
                         raise DataFormatError(
                             f"{path}: ragged row at line {lineno} ({n_cells} cells, expected {expected})"
@@ -186,9 +182,10 @@ def _read_csv_checked(
         raise DataFormatError(f"{path}: {bad_cell}: {exc}") from exc
 
 
-def _read_key_values(path: str, error: type[BtckitError]) -> Iterator[tuple[int, str, str]]:
-    """(line number, key, value) of each ``key=value`` line of a UTF-8 file, skipping blank and
-    ``#`` lines; a file that is not UTF-8 or a line without ``=`` raises ``error``."""
+def _read_key_values(path: str, error: type[BtckitError]) -> Iterator[tuple[str, str]]:
+    """(key, value) of each ``key=value`` line of a UTF-8 file, skipping blank and
+    ``#`` lines; a file that is not UTF-8, or a line without ``=`` or with a NUL, which no
+    path may hold, raises ``error``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -198,10 +195,10 @@ def _read_key_values(path: str, error: type[BtckitError]) -> Iterator[tuple[int,
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        if "=" not in line or "\0" in line:
             raise error(f"{path}: malformed line {lineno}")
         key, _, value = line.partition("=")
-        yield lineno, key.strip(), value.strip()
+        yield key.strip(), value.strip()
 
 
 def build_dictionary(
@@ -259,7 +256,7 @@ def load_hsi_cube(header_path: str, raw_path: str) -> np.ndarray:
     raw file whose size no longer matches the header when it is read raises
     DataFormatError.
     """
-    keys = {key: value for _, key, value in _read_key_values(header_path, DataFormatError)}
+    keys = dict(_read_key_values(header_path, DataFormatError))
     for required in ("height", "width", "bands", "dtype"):
         if required not in keys:
             raise DataFormatError(f"{header_path}: missing key {required!r}")

@@ -116,8 +116,8 @@ def solve_spd_regularized(G: np.ndarray, b: np.ndarray, alpha: float) -> np.ndar
         raise ConfigError(f"G must be square, got shape {G.shape}")
     if b.shape != G.shape[:-1]:
         raise ConfigError(f"b shape {b.shape} does not match G shape {G.shape}")
-    if alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < np.inf:
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
     L = _cholesky(G + alpha * np.eye(G.shape[-1]))
     # L z = b forward, then L'x = z backward, one row of every system per step;
     # NumPy has no batched triangular solve, and mixing SciPy's LAPACK with

@@ -1,18 +1,24 @@
 """End-to-end command-line interface wiring."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 import btckit
 from btckit import build_dictionary, kbtc_estimate_params, load_hsi_cube, save_hsi_cube, spatial
-from btckit.cli import _parse_gamma_grid, main
+from btckit.cli import _build_parser, _parse_gamma_grid, main
 from btckit.data import NORM_RANGE, save_label_map
 from btckit.errors import ConfigError
 from tests.conftest import make_blobs, make_blocky_scene, make_train_mask, run_main_capped
@@ -217,8 +223,53 @@ class TestConfigFile:
             argv += ["--seed", "-5"]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "--seed must be >= 0" in err and "Traceback" not in err
+        assert "argument --seed: must be" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    @pytest.mark.parametrize("command, key, value", [
+        ("classify", "m", "abc"),
+        ("classify", "classifier", "svm"),
+        ("classify", "seed", "-1"),
+        ("classify-hsi", "window", "4"),
+        ("ensemble", "n", "1001"),
+    ])
+    def test_bad_value_from_flag_or_file_exit_code(
+        self, blob_files, tmp_path, capsys, command, key, value, from_config
+    ):
+        (tr_x, tr_y), (te_x, te_y) = blob_files
+        if command == "classify-hsi":
+            argv = _hsi_files(tmp_path)[0]
+        else:
+            argv = [command, "--train", tr_x, "--train-labels", tr_y, "--test", te_x, "--test-labels", te_y,
+                    "--m", "3"] + (["--b", "6"] if command == "ensemble" else [])
+        if from_config:
+            (tmp_path / "run.cfg").write_text(f"{key}={value}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        else:
+            argv += [f"--{key}", value]
+        assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: argument --{key}: " in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", [["--alph", "0.5"], "alph=0.5", "output_dir=elsewhere", "config=other.cfg"])
+    def test_not_a_flag_name_rejected(self, tmp_path, capsys, extra):
+        # a line or flag must spell a flag out exactly: no abbreviation, no underscores
+        argv = ["synth-recovery", "--output-dir", str(tmp_path / "out")]
+        if isinstance(extra, str):
+            (tmp_path / "run.cfg").write_text(extra + "\n")
+            extra = ["--config", str(tmp_path / "run.cfg")]
+        assert main(argv + extra) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_nul_in_a_config_value_exit_code(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text(f"output-dir={tmp_path / 'o'}\0ut\n")
+        assert main(["synth-recovery", "--n", "16", "--b", "8", "--k", "1", "--m", "2",
+                     "--config", str(tmp_path / "run.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert "run.cfg: malformed line 1" in err and "Traceback" not in err
 
     def test_unknown_key_rejected(self, blob_files, tmp_path):
         (tr_x, tr_y), (te_x, te_y) = blob_files
@@ -522,9 +573,14 @@ class TestOtherCommands:
         (["estimate-btc", "--m-max", "100000000000"], "M range must lie"),
         (["estimate-btc", "--m-min", "-100000000000", "--m-max", "3"], "M range must lie"),
         (["estimate-kbtc", "--gamma-grid", "2^-100000000000..2^1"], "at most 1000 points"),
+        (["synth-recovery", "--n", "10000000", "--b", "1", "--k", "1", "--m", "10000000"],
+         "argument --m: must be"),
+        (["classify-hsi", "--smoothing", "box", "--window", "100000000001"], "argument --window: must be"),
+        (["ensemble", "--n", "100000000000"], "argument --n: must be"),
     ], ids=[
         "roc-points", "synth-recovery-n", "synth-recovery-b",
         "estimate-btc-m-max", "estimate-btc-m-min", "estimate-kbtc-gamma-grid",
+        "synth-recovery-m", "classify-hsi-window", "ensemble-n",
     ])
     def test_size_above_its_bound_exit_code(self, tmp_path, argv, message):
         # in a capped child: an unchecked size fails fast there with a MemoryError
@@ -536,10 +592,24 @@ class TestOtherCommands:
         elif argv[0].startswith("estimate"):
             tr_x, tr_y = _write_dense(tmp_path, "tr", *make_blobs(5, 2, 4, 0, 0.5))
             argv = argv + ["--train", tr_x, "--train-labels", tr_y]
+        elif argv[0] == "classify-hsi":
+            argv = _hsi_files(tmp_path)[0] + argv[1:]
+        elif argv[0] == "ensemble":
+            tr_x, tr_y = _write_dense(tmp_path, "tr", *make_blobs(5, 2, 8, 0, 0.5))
+            argv = argv + ["--train", tr_x, "--train-labels", tr_y, "--test", tr_x, "--test-labels", tr_y,
+                           "--b", "4", "--m", "2"]
         rc, err = run_main_capped(argv + ["--output-dir", str(tmp_path / "out")])
         assert rc == 2, err
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_synth_recovery_non_finite_alpha_exit_code(self, tmp_path, capsys, alpha):
+        rc = main(["synth-recovery", "--n", "32", "--b", "16", "--k", "2", "--m", "8", "--alpha", alpha,
+                   "--output-dir", str(tmp_path / "rec")])
+        assert rc == 2
+        assert "alpha must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
 
     def test_synth_recovery_command(self, tmp_path, capsys):
         out = tmp_path / "rec"
@@ -565,3 +635,128 @@ class TestOtherCommands:
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
+
+
+def test_every_int_flag_has_a_bounded_type():
+    # argparse applies a flag's type to config lines too, so a bound there holds for both
+    # sources; every typed flag that is not a float must be such a bounded int
+    _, commands = _build_parser()
+    actions = [action for command in commands.values() for action in command._actions]
+    typed = [action for action in actions if action.type not in (None, float)]
+    assert all(action in typed for action in actions if type(action.default) is int)
+    assert len(typed) == 8 + 14  # --seed on every subcommand, and the others
+    for action in typed:
+        for beyond in (2**63, -(2**63) - 1, 10**30):
+            with pytest.raises(argparse.ArgumentTypeError):
+                action.type(str(beyond))
+        with pytest.raises(argparse.ArgumentTypeError):
+            action.type("12x")
+        if action.default is not None:
+            assert action.type(str(action.default)) == action.default
+
+
+# The CLI contract through main for every subcommand: small valid runs, changed by drawn values
+@pytest.fixture(scope="module")
+def contract_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    x, y = make_blobs(4, 2, 6, 0, 0.5)
+    tr_x, tr_y = _write_dense(root, "tr", x, y)
+    te_x, te_y = _write_dense(root, "te", x[:3], y[:3])
+    hsi = _hsi_files(root)[0]
+    (root / "valid.txt").write_text("0.9\n0.4\n")
+    (root / "invalid.txt").write_text("0.1\n")
+    dense = ["--train", tr_x, "--train-labels", tr_y]
+    test = ["--test", te_x, "--test-labels", te_y]
+    runs = {
+        "classify": ["classify", *dense, *test, "--m", "3"],
+        "estimate-btc": ["estimate-btc", *dense],
+        "estimate-kbtc": ["estimate-kbtc", *dense, "--gamma-grid", "0.5,2"],
+        "classify-hsi": hsi,
+        "ensemble": ["ensemble", *dense, *test, "--n", "2", "--b", "4", "--m", "2"],
+        "roc": ["roc", "--valid-margins", str(root / "valid.txt"), "--invalid-margins",
+                str(root / "invalid.txt"), "--points", "5"],
+        "synth-recovery": ["synth-recovery", "--n", "32", "--b", "16", "--k", "2", "--m", "8"],
+        "coherence": ["coherence", *dense],
+    }
+    bad_files = {"missing": b"", "empty": b"", "not-utf8": b"1,\xe9\n", "ragged": b"1,2\n3\n",
+                 "huge": b"1e308,-1e308,1e308,1e308,1e308,1e308\n" * 8}
+    for name, content in bad_files.items():
+        if name != "missing":
+            (root / name).write_bytes(content)
+    return root, runs, [str(root / name) for name in bad_files]
+
+
+_JUNK = st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=6)
+
+
+def _value(action, bad_files):
+    """Text for one flag: small or far-out ints, non-finite floats, bad files, junk."""
+    if action.choices:
+        good = st.sampled_from(sorted(action.choices))
+    elif action.type is float:
+        good = st.floats().map(repr) | st.sampled_from(["nan", "inf", "-inf", "-0", "0", "1e-300"])
+    elif action.type is not None:  # a bounded int: small, or far above any bound
+        good = st.integers(-3, 12) | st.integers(2**40, 2**70) | st.integers(-(2**70), -(2**40))
+        good = good.map(str)
+    elif action.dest == "gamma_grid":
+        good = st.sampled_from(["0.5", "2^-1..2^1", "2^-70..2^1000", "1,0,-1"])
+    else:
+        good = st.sampled_from(bad_files)
+    return good | _JUNK
+
+
+@st.composite
+def _contract_example(draw, runs, bad_files):
+    name = draw(st.sampled_from(sorted(runs)))
+    command = _build_parser()[1][name]
+    actions = [a for a in command._actions if a.dest not in ("help", "config", "output_dir")]
+    argv, lines = list(runs[name]), []
+    for action in draw(st.lists(st.sampled_from(actions), max_size=3, unique_by=lambda a: a.dest)):
+        value = draw(_value(action, bad_files))
+        if draw(st.booleans()):
+            argv += [action.option_strings[0], value]
+        else:  # a config line, conflicting with a flag when argv already sets it
+            lines.append(f"{action.option_strings[0][2:]}={value.strip()}")
+    config = draw(st.sampled_from(["none", "lines", "missing", "not-utf8", "malformed"]))
+    return command, argv, lines, config
+
+
+class TestCliContract:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_any_value_exits_with_a_contract_code(self, contract_runs, data):
+        root, runs, bad_files = contract_runs
+        command, argv, lines, config = data.draw(_contract_example(runs, bad_files))
+        out, from_file, cfg = root / "out", root / "from_file", root / "run.cfg"
+        for stale in (out, from_file):
+            shutil.rmtree(stale, ignore_errors=True)
+        cfg.unlink(missing_ok=True)
+        text = "\n".join([f"output-dir={from_file}", *lines]) + "\n"
+        content = {"lines": text.encode(), "not-utf8": b"# caf\xe9\n", "malformed": b"m 3\n"}.get(config)
+        if content:
+            cfg.write_bytes(content)
+        if config != "none":
+            argv += ["--config", str(cfg)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv + ["--output-dir", str(out)])
+        assert rc in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert not from_file.exists()  # the explicit --output-dir beats the file's line
+        sidecars = sorted(out.glob("*.config.txt"))  # coherence writes none
+        if rc != 0 or not sidecars:
+            return
+        # every other value is the last flag given, else the file's line: the parser's own rule
+        resolved = {}
+        for line in lines if config == "lines" else []:
+            key, _, value = line.partition("=")
+            resolved[key.replace("-", "_")] = value
+        flags = {a.option_strings[0]: a.dest for a in command._actions if a.option_strings}
+        for flag, value in zip(argv, argv[1:]):
+            if flag in flags:
+                resolved[flags[flag]] = value
+        sidecar = sidecars[0].read_text().splitlines()
+        types = {a.dest: a.type or str for a in command._actions}
+        for dest, value in resolved.items():
+            if dest != "config":
+                assert f"{dest}={types[dest](value)}" in sidecar

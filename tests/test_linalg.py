@@ -67,6 +67,11 @@ class TestSolveSpdRegularized:
         with pytest.raises(ConfigError):
             solve_spd_regularized(np.ones((2, 3)), np.ones(2), 0.1)
 
+    @pytest.mark.parametrize("alpha", [-1e-3, np.nan, np.inf])
+    def test_alpha_not_finite_and_non_negative_rejected(self, alpha):
+        with pytest.raises(ConfigError, match="alpha must be finite and >= 0"):
+            solve_spd_regularized(np.eye(2), np.ones(2), alpha)
+
 
 class TestTopMSelect:
     def test_magnitude_ranking(self):
