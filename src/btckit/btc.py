@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from btckit.data import Dictionary, NORM_L2
-from btckit.errors import ConfigError
+from btckit.errors import ConfigError, DataFormatError
 from btckit.linalg import (
     KERNEL_LINEAR,
     KernelSpec,
@@ -79,7 +79,7 @@ def btc_residuals(dictionary: Dictionary, Y: np.ndarray, params: BtcParams) -> n
     params.validate(dictionary.n_features, dictionary.n_samples)
     atoms = np.ascontiguousarray(dictionary.columns.T)
 
-    def prepare(rows: np.ndarray, first: int) -> tuple:
+    def prepare(rows: np.ndarray, first: int, sq: None) -> tuple:  # the linear kernel needs no norms
         Yn, V = _correlations(dictionary, np.asarray(rows, dtype=np.float64), first)
         return V, np.ones(len(V)), (atoms, Yn)
 
@@ -116,13 +116,22 @@ def btc_classify(
 def _correlations(
     dictionary: Dictionary, Y: np.ndarray, first: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The L2-normalized rows y of Y (S x B) and A'y for each (S x N)."""
+    """The L2-normalized rows y of Y (S x B) and A'y for each (S x N).
+
+    The first row whose norm is zero raises ConfigError, or whose norm is
+    not finite (a value too large to square) DataFormatError, naming sample
+    ``first + i``.
+    """
     if dictionary.norm_mode != NORM_L2:
         raise ConfigError("BTC requires an L2-normalized dictionary")
-    norms = np.linalg.norm(Y, axis=1)
-    zero = np.flatnonzero(norms == 0)
-    if zero.size:
-        raise ConfigError("zero test vector", sample=first + int(zero[0]))
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norms = np.linalg.norm(Y, axis=1)
+    bad = np.flatnonzero((norms == 0) | ~np.isfinite(norms))
+    if bad.size:
+        i = int(bad[0])
+        if norms[i] == 0:
+            raise ConfigError("zero test vector", sample=first + i)
+        raise DataFormatError("non-finite test vector norm", sample=first + i)
     Yn = Y / norms[:, None]
     return Yn, Yn @ dictionary.columns
 

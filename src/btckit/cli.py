@@ -51,7 +51,7 @@ from btckit.data import (
     save_label_map_pgm,
 )
 from btckit.errors import BtckitError, ConfigError, DataFormatError, NumericalError
-from btckit.linalg import mutual_coherence
+from btckit.linalg import mutual_coherence, one_blas_thread
 
 # Largest values the CLI accepts for flags that size work from their value alone, so an
 # absurd value is a config error (exit 2), refused while the command line is parsed
@@ -66,25 +66,27 @@ INT64_MAX = 2**63 - 1  # the seed, and the int flags that the library checks aga
 def main(argv: list[str] | None = None) -> int:
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = parser.parse_args(_with_config_tokens(argv, commands))
-        if args.command is None:
-            parser.print_help()
+    # the batch core's chunks run on every CPU only while BLAS keeps to one thread
+    with one_blas_thread():
+        try:
+            args = parser.parse_args(_with_config_tokens(argv, commands))
+            if args.command is None:
+                parser.print_help()
+                return 2
+            args.func(args)
+            return 0
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
             return 2
-        args.func(args)
-        return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DataFormatError, OSError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 4
-    except BtckitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        except (DataFormatError, OSError) as exc:
+            print(f"io error: {exc}", file=sys.stderr)
+            return 3
+        except NumericalError as exc:
+            print(f"numerical error: {exc}", file=sys.stderr)
+            return 4
+        except BtckitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 class _Parser(argparse.ArgumentParser):

@@ -210,8 +210,9 @@ def build_dictionary(
 
     Classes are renumbered densely 1..C in ascending order of original
     label; intra-class sample order is preserved. L2 mode divides each
-    column by its Euclidean norm; range mode applies per-feature [0, 1]
-    scaling fitted on these samples.
+    column by its Euclidean norm, refusing a zero or non-finite one (a value
+    too large to square) with DataFormatError; range mode applies
+    per-feature [0, 1] scaling fitted on these samples.
     """
     samples = np.asarray(samples, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -231,10 +232,15 @@ def build_dictionary(
 
     columns = samples[order].T  # (B, N), F-contiguous
     if norm_mode == NORM_L2:
-        norms = np.linalg.norm(columns, axis=0)
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            norms = np.linalg.norm(columns, axis=0)
         if np.any(norms == 0):
             bad = order[int(np.argmin(norms))]
             raise DataFormatError(f"zero-norm column at sample index {bad}")
+        finite = np.isfinite(norms)
+        if not finite.all():
+            bad = order[int(np.argmin(finite))]
+            raise DataFormatError(f"non-finite column norm at sample index {bad}")
         columns = columns / norms
     return Dictionary(
         columns=columns,

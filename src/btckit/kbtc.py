@@ -24,6 +24,8 @@ from btckit.linalg import (
     beta_profile,
     gram_residuals,
     kernel_matrix,
+    kernel_values,
+    squared_norms,
     top_m_select,
 )
 
@@ -60,10 +62,10 @@ def kbtc_residuals(dictionary: Dictionary, Y: np.ndarray, params: KbtcParams) ->
     params.validate(dictionary.n_features, dictionary.n_samples)
     scaling = dictionary.scaling
 
-    def prepare(rows: np.ndarray, first: int) -> tuple:
+    def prepare(rows: np.ndarray, first: int, sq: np.ndarray | None) -> tuple:
         # scaling.apply widens the chunk itself
         rows = np.asarray(rows, dtype=np.float64) if scaling is None else scaling.apply(rows)
-        return *_kernel_rows(dictionary, rows, params.spec), None
+        return *_kernel_rows(dictionary, rows, params.spec, sq), None
 
     return batch_residuals(dictionary, Y, params.m, params.alpha, params.spec, prepare)
 
@@ -84,7 +86,8 @@ def kbtc_classify(
     params.validate(dictionary.n_features, dictionary.n_samples)
     if cache.spec != params.spec:
         raise ConfigError("kernel cache was built with a different spec")
-    V, kyy = _kernel_rows(dictionary, np.asarray(y, dtype=np.float64)[None, :], params.spec)
+    y = np.asarray(y, dtype=np.float64)[None, :]
+    V, kyy = _kernel_rows(dictionary, y, params.spec, squared_norms(dictionary.columns, params.spec))
     support = top_m_select(V[0], params.m) if support is None else np.asarray(support, np.int64)
     residuals, coeffs = gram_residuals(
         cache.gram[np.ix_(support, support)][None], dictionary.labels, dictionary.n_classes, V,
@@ -95,10 +98,14 @@ def kbtc_classify(
 
 
 def _kernel_rows(
-    dictionary: Dictionary, Y: np.ndarray, spec: KernelSpec
+    dictionary: Dictionary, Y: np.ndarray, spec: KernelSpec, sq: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """K(A, y) for every row y of Y (S x N), and K(y, y) per row."""
-    V = kernel_matrix(Y.T, dictionary.columns, spec)
+    """K(A, y) for every row y of Y (S x N), and K(y, y) per row.
+
+    ``sq`` holds the :func:`squared_norms` of A's columns, so only Y's are
+    computed here; the values are those of ``kernel_matrix(Y.T, A, spec)``.
+    """
+    V = kernel_values(Y @ dictionary.columns, spec, squared_norms(Y.T, spec), sq)
     kyy = np.ones(Y.shape[0]) if spec.kind == KERNEL_RBF else np.einsum("ij,ij->i", Y, Y)
     return V, kyy
 
@@ -110,7 +117,8 @@ def kbtc_residual_alt(
     cache: KernelCache,
 ) -> ResidualVector:
     """Alternative residual |K(y,y) - x_j' K(A_j,y)| per class."""
-    V, kyy = _kernel_rows(dictionary, np.asarray(y, dtype=np.float64)[None, :], cache.spec)
+    y = np.asarray(y, dtype=np.float64)[None, :]
+    V, kyy = _kernel_rows(dictionary, y, cache.spec, squared_norms(dictionary.columns, cache.spec))
     labels = dictionary.labels[code.support] - 1
     weights = code.coefficients * V[0, code.support]
     cross = np.bincount(labels, weights=weights, minlength=dictionary.n_classes)

@@ -3,19 +3,29 @@
 The batch-first Gram-space core every classifier runs on (the linear and
 RBF kernels, top-M selection with ascending-index ties, stacked regularized
 SPD solves, per-class residuals in Gram arithmetic or from explicit
-features, identification ratios), the first principal component for
-guidance images, and mutual coherence.
+features, identification ratios), the parallel chunk loop and the BLAS
+thread pin it runs under, the first principal component for guidance
+images, and mutual coherence.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+import os
+import threading
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from btckit.data import Dictionary, NORM_L2
 from btckit.errors import ConfigError, NumericalError
+
+# concurrent.futures is imported by the first parallel chunk loop, so importing btckit does not load it
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 # Batches reach the core in chunks of about this many bytes of float64 work
 # (S x N kernel values, S x M x M systems): memory stays bounded for any
@@ -55,6 +65,139 @@ def chunks(n_items: int, floats_per_item: int) -> Iterator[slice]:
         yield slice(lo, min(lo + step, n_items))
 
 
+# marks a thread while it runs chunks of map_chunks, so a nested call runs inline
+_chunk_thread = threading.local()
+
+
+def map_chunks(fn: Callable[[slice], None], slices: Iterable[slice]) -> None:
+    """Call ``fn`` on every slice, on the calling thread and up to W - 1 helper threads.
+
+    W is the number of CPUs this process may run on, or of slices if fewer;
+    the helpers are the process's kept threads (:func:`_helpers`).
+    The threads take slices in order from one shared iterator, and each call
+    must write only its own part of the output, so the result is the inline
+    loop's to the bit. The loop runs inline, in order, when W < 2, when
+    called from a chunk of another map_chunks, or when NumPy's BLAS is not
+    known to run one thread (see :func:`one_blas_thread`), whose own threads
+    would then compete with these. After a failure no slice is started; the
+    calls already running finish, and the error of the lowest failing slice
+    is raised, the one the inline loop would raise.
+    """
+    slices = list(slices)
+    workers = min(_cpu_count(), len(slices))
+    if workers < 2 or getattr(_chunk_thread, "busy", False) or _blas_threads() != 1:
+        for sl in slices:
+            fn(sl)
+        return
+    lock, stop = threading.Lock(), threading.Event()
+    order, errors = iter(range(len(slices))), {}
+
+    def run() -> None:
+        _chunk_thread.busy = True
+        try:
+            while True:
+                with lock:
+                    i = None if stop.is_set() else next(order, None)
+                if i is None:
+                    return
+                try:
+                    fn(slices[i])
+                except Exception as exc:  # raised below, on the calling thread
+                    with lock:
+                        errors[i] = exc
+                    stop.set()
+        finally:
+            _chunk_thread.busy = False
+
+    helpers = [_helpers().submit(run) for _ in range(workers - 1)]
+    try:
+        run()
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.result()
+    if errors:
+        raise errors[min(errors)]
+
+
+@cache
+def _helpers() -> ThreadPoolExecutor:
+    """The helper threads of :func:`map_chunks`, one fewer than the CPUs, started on first use.
+
+    They are kept for the life of the process rather than started per call:
+    a thread that has just ended can still hold its glibc malloc arena, so a
+    thread started right after it takes a new arena, and every arena keeps
+    the freed memory of the chunks it served. A forked child, which has none
+    of the threads, starts its own.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max(_cpu_count() - 1, 1), thread_name_prefix="btckit-chunks")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_helpers.cache_clear)
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Hold NumPy's OpenBLAS at one thread inside the block; restore its count on leaving.
+
+    :func:`map_chunks` then runs its chunks on every CPU in place of BLAS's
+    own threads. Without a bundled OpenBLAS (:func:`_openblas`) nothing is
+    pinned, and chunks run inline.
+    """
+    threads = _openblas()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _blas_threads() -> int | None:
+    """NumPy's OpenBLAS thread count; None without a bundled OpenBLAS."""
+    threads = _openblas()
+    return None if threads is None else threads[0]()
+
+
+@cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the OpenBLAS NumPy loaded, or None.
+
+    NumPy's wheels bundle it as ``numpy.libs/libscipy_openblas64_-*.so``,
+    which exports both. Only a copy already loaded is opened, so this never
+    loads a second one. Looked up at the first use: importing btckit loads
+    no library.
+    """
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):  # not loaded, or without the symbols
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
 def kernel_values(
     P: np.ndarray, spec: KernelSpec, sq_a: np.ndarray | None, sq_b: np.ndarray | None
 ) -> np.ndarray:
@@ -78,6 +221,20 @@ def kernel_values(
     return P
 
 
+def squared_norms(X: np.ndarray, spec: KernelSpec) -> np.ndarray | None:
+    """The squared column norms of X that the RBF kernel ``spec`` needs; None for the linear one.
+
+    A non-finite norm raises NumericalError: meeting X'Y = -inf it would give
+    exp(-inf) = 0, which the value check of :func:`kernel_values` passes.
+    """
+    if spec.kind != KERNEL_RBF:
+        return None
+    sq = np.sum(X * X, axis=0)
+    if not np.isfinite(sq).all():
+        raise NumericalError("non-finite kernel input: a squared column norm is not finite")
+    return sq
+
+
 def kernel_matrix(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Pairwise kernel evaluations between the columns of X and Y (:func:`kernel_values`).
 
@@ -88,14 +245,8 @@ def kernel_matrix(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    sq_x = sq_y = None
-    if spec.kind == KERNEL_RBF:
-        # before the result exists, so X * X and Y * Y do not add to its peak
-        sq_x = np.sum(X * X, axis=0)
-        sq_y = np.sum(Y * Y, axis=0)
-        # an infinite norm meeting X'Y = -inf gives exp(-inf) = 0, which the value check passes
-        if not (np.isfinite(sq_x).all() and np.isfinite(sq_y).all()):
-            raise NumericalError("non-finite kernel input: a squared column norm is not finite")
+    # before the result exists, so X * X and Y * Y do not add to its peak
+    sq_x, sq_y = squared_norms(X, spec), squared_norms(Y, spec)
     out = X.T @ Y
     for sl in chunks(out.shape[0], out.shape[1]):
         kernel_values(out[sl], spec, None if sq_x is None else sq_x[sl], sq_y)
@@ -219,18 +370,21 @@ def batch_residuals(
 ) -> np.ndarray:
     """Per-class residuals (S x C) of every row of Y; row i predicts ``argmin(out[i]) + 1``.
 
-    Rows go in chunks, so memory stays bounded for any S, and Y may have any
-    real float dtype: ``prepare(rows, first)`` widens one chunk (row ``first``
-    onwards) and returns its values K(A, y) under ``spec``, each K(y, y) and
-    the ``features`` of :func:`gram_residuals` (or None). Each chunk is
-    coded on its top-M support, which needs the M x M kernel block of every
-    row. When the batch's blocks would hold more entries than the N x N
-    kernel matrix (S M^2 > N^2), the matrix is built once and the blocks
-    are gathered from it; otherwise each block is formed from its support's
-    own columns (:func:`_support_blocks`) and no N x N array exists.
+    Rows go in chunks (:func:`map_chunks`), so memory stays bounded for any
+    S, and Y may have any real float dtype: ``prepare(rows, first, sq)``
+    widens one chunk (row ``first`` onwards) and returns its values K(A, y)
+    under ``spec``, each K(y, y) and the ``features`` of
+    :func:`gram_residuals` (or None); ``sq`` holds the columns'
+    :func:`squared_norms`, computed once per call. Each chunk is coded on
+    its top-M support, which needs the M x M kernel block of every row. When
+    the batch's blocks would hold more entries than the N x N kernel matrix
+    (S M^2 > N^2), the matrix is built once and the blocks are gathered from
+    it; otherwise each block is formed from its support's own columns
+    (:func:`_support_blocks`) and no N x N array exists.
     """
     Y = np.asarray(Y)
     columns, n = dictionary.columns, dictionary.n_samples
+    sq = squared_norms(columns, spec)
     if Y.shape[0] * m * m > n * n:
         gram = kernel_matrix(columns, columns, spec)
 
@@ -239,20 +393,21 @@ def batch_residuals(
 
     else:
         atoms = np.ascontiguousarray(columns.T)
-        # the squared norms kernel_matrix would compute, so both sides take the same values
-        sq = np.sum(columns * columns, axis=0) if spec.kind == KERNEL_RBF else None
 
         def blocks(support: np.ndarray) -> np.ndarray:
             return _support_blocks(atoms, sq, support, spec)
 
     out = np.empty((Y.shape[0], dictionary.n_classes))
-    for sl in chunks(Y.shape[0], n + m * m):
-        V, kyy, features = prepare(Y[sl], sl.start)
+
+    def code(sl: slice) -> None:
+        V, kyy, features = prepare(Y[sl], sl.start, sq)
         support = top_m_rows(V, m)
         out[sl], _ = gram_residuals(
             blocks(support), dictionary.labels, dictionary.n_classes, V, kyy, support, alpha,
             sl.start, features,
         )
+
+    map_chunks(code, chunks(Y.shape[0], n + m * m))
     return out
 
 
@@ -335,11 +490,18 @@ def _class_residuals(
     G_own = np.where(labels[:, :, None] == labels[:, None, :], G, 0.0)
     onehot = (labels[:, :, None] == np.arange(n_classes)).astype(np.float64)
     # per atom x_i (2 v_i - (G_jj x_j)_i), summed per class j; G_own is
-    # symmetric, so row j of x @ G_own is G_own x_j
-    radicand = kyy[:, None, None] - np.matmul(x * (2.0 * v[:, None, :] - np.matmul(x, G_own)), onehot)
+    # symmetric, so row j of x @ G_own is G_own x_j. Products are formed in
+    # place, G_own's included once it is spent, so that the chunks running at
+    # once (map_chunks) each hold fewer S x J x k arrays
+    t = np.matmul(x, G_own)
+    np.subtract(2.0 * v[:, None, :], t, out=t)
+    t *= x
+    radicand = kyy[:, None, None] - np.matmul(t, onehot)
     # the rounding in that sum grows with the magnitude of its terms
-    abs_x = np.abs(x)
-    terms = abs_x * (2.0 * np.abs(v[:, None, :]) + np.matmul(abs_x, np.abs(G_own)))
+    abs_x = np.abs(x, out=t)
+    terms = np.matmul(abs_x, np.abs(G_own, out=G_own))
+    terms += 2.0 * np.abs(v[:, None, :])
+    terms *= abs_x
     size = np.abs(kyy)[:, None, None] + np.matmul(terms, onehot)
     floor = RADICAND_FLOOR * np.maximum(kyy, 1.0)[:, None, None] - (k + 2) * np.finfo(float).eps * size
     bad = np.argwhere(radicand < floor)
@@ -396,8 +558,9 @@ def beta_profile(
     Column g is coded on the M-1 columns ranked highest in |gram[:, g]| (itself
     excluded) and scored as own-class residual over best rival residual, inf
     on a zero rival. Supports for every M are prefixes of one ranking, so
-    one Cholesky factorization per column serves every M.
-    ``gram`` is the kernel matrix of the columns, by default A'A.
+    one Cholesky factorization per column serves every M. Columns go in
+    chunks (:func:`map_chunks`). ``gram`` is the kernel matrix of the
+    columns, by default A'A.
     """
     n_classes, col_labels = dictionary.n_classes, dictionary.labels
     if n_classes < 2:
@@ -416,7 +579,8 @@ def beta_profile(
     # row j keeps the first ks[j] atoms of the ranking
     prefix = np.arange(k_max) < ks[:, None]
     out = np.empty((ks.size, cols.size))
-    for sl in chunks(cols.size, n + k_max * (k_max + ks.size)):
+
+    def profile(sl: slice) -> None:
         g = cols[sl]
         V = np.ascontiguousarray(gram[:, g].T)
         ranked = top_m_rows(V, k_max, exclude=g) if k_max else np.empty((g.size, 0), np.int64)
@@ -432,6 +596,7 @@ def beta_profile(
         W = _tril_inverse(L)
         z = np.matmul(W, v[:, :, None])[:, :, 0]
         x = np.matmul(z[:, None, :] * prefix, W)
+        del L, W  # spent: the residuals below need fewer k x k stacks alive
         labels = col_labels[ranked] - 1
         residuals = _class_residuals(G, v, x, labels, n_classes, gram[g, g], ks[:, None], sl.start)
         own = col_labels[g] - 1
@@ -440,6 +605,8 @@ def beta_profile(
         rival = residuals.min(axis=2)
         with np.errstate(divide="ignore", invalid="ignore"):
             out[:, sl] = np.where(rival == 0, np.inf, mine / rival).T
+
+    map_chunks(profile, chunks(cols.size, n + k_max * (k_max + ks.size)))
     return out
 
 

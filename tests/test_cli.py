@@ -356,6 +356,33 @@ class TestNonFiniteCells:
         assert main(args) == 3
         assert "non-finite value at sample 3, column 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, corrupt, message",
+        [
+            (["coherence"], "train", "non-finite column norm at sample index 3"),
+            (["estimate-btc"], "train", "non-finite column norm at sample index 3"),
+            (["classify", "--m", "6"], "train", "non-finite column norm at sample index 3"),
+            (["classify", "--m", "6"], "test", "sample 3: non-finite test vector norm"),
+            (["ensemble", "--m", "3", "--b", "6"], "test", "sample 3: non-finite test vector norm"),
+        ],
+    )
+    def test_value_too_large_to_square_exit_code_names_the_sample(
+        self, blob_files, tmp_path, capsys, command, corrupt, message
+    ):
+        # finite, so the files pass their check, but its square overflows the L2 norm
+        (tr_x, tr_y), (te_x, te_y) = blob_files
+        path = tr_x if corrupt == "train" else te_x
+        with open(path) as fh:
+            rows = fh.read().splitlines()
+        rows[3] = ",".join(["1e200"] * len(rows[3].split(",")))
+        with open(path, "w") as fh:
+            fh.write("\n".join(rows) + "\n")
+        args = command + ["--train", tr_x, "--train-labels", tr_y, "--output-dir", str(tmp_path / "out")]
+        if command[0] in ("classify", "ensemble"):
+            args += ["--test", te_x, "--test-labels", te_y]
+        assert main(args) == 3
+        assert message in capsys.readouterr().err
+
 
 def _hsi_files(tmp_path):
     cube, gt = make_blocky_scene(seed=4, sigma=0.4, h=20, w=20, bands=8)
@@ -742,6 +769,11 @@ class TestCliContract:
             rc = main(argv + ["--output-dir", str(out)])
         assert rc in (0, 2, 3, 4), err.getvalue()
         assert "Traceback" not in err.getvalue()
+        given = argv + (lines if config == "lines" else [])
+        if any(str(root / "huge") in token for token in given) and not any("kbtc" in t for t in given):
+            # its cells are too large to square: refused (exit 3) unless the parser refused
+            # another value first (exit 2); KBTC range-scales them instead, another case
+            assert rc in (2, 3), err.getvalue()
         assert not from_file.exists()  # the explicit --output-dir beats the file's line
         sidecars = sorted(out.glob("*.config.txt"))  # coherence writes none
         if rc != 0 or not sidecars:
