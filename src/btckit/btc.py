@@ -79,8 +79,8 @@ def btc_residuals(dictionary: Dictionary, Y: np.ndarray, params: BtcParams) -> n
     params.validate(dictionary.n_features, dictionary.n_samples)
     atoms = np.ascontiguousarray(dictionary.columns.T)
 
-    def prepare(rows: np.ndarray, first: int, sq: None) -> tuple:  # the linear kernel needs no norms
-        Yn, V = _correlations(dictionary, np.asarray(rows, dtype=np.float64), first)
+    def prepare(rows: np.ndarray, sq: None) -> tuple:  # the linear kernel needs no norms
+        Yn, V = _correlations(dictionary, np.asarray(rows, dtype=np.float64))
         return V, np.ones(len(V)), (atoms, Yn)
 
     linear = KernelSpec(kind=KERNEL_LINEAR)
@@ -91,18 +91,16 @@ def btc_classify(
     dictionary: Dictionary,
     y: np.ndarray,
     params: BtcParams,
-    support: np.ndarray | None = None,
 ) -> tuple[ResidualVector, SparseCode]:
     """Classify one sample with the linear BTC.
 
     The sample is L2-normalized, correlated against all columns, and
     reconstructed on the top-M support. Classes without support atoms get
-    residual ||y||_2 = 1. An explicit ``support`` overrides the selection
-    step (used for cross-pipeline checks).
+    residual ||y||_2 = 1.
     """
     params.validate(dictionary.n_features, dictionary.n_samples)
     Yn, V = _correlations(dictionary, np.asarray(y, dtype=np.float64)[None, :])
-    support = top_m_select(V[0], params.m) if support is None else np.asarray(support, np.int64)
+    support = top_m_select(V[0], params.m)
     # the core on the support alone: its Gram block, labels and correlations
     D = dictionary.columns[:, support]
     residuals, coeffs = gram_residuals(
@@ -113,14 +111,11 @@ def btc_classify(
     return ResidualVector(values=residuals[0]), code
 
 
-def _correlations(
-    dictionary: Dictionary, Y: np.ndarray, first: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def _correlations(dictionary: Dictionary, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The L2-normalized rows y of Y (S x B) and A'y for each (S x N).
 
     The first row whose norm is zero raises ConfigError, or whose norm is
-    not finite (a value too large to square) DataFormatError, naming sample
-    ``first + i``.
+    not finite (a value too large to square) DataFormatError, naming sample i.
     """
     if dictionary.norm_mode != NORM_L2:
         raise ConfigError("BTC requires an L2-normalized dictionary")
@@ -130,8 +125,8 @@ def _correlations(
     if bad.size:
         i = int(bad[0])
         if norms[i] == 0:
-            raise ConfigError("zero test vector", sample=first + i)
-        raise DataFormatError("non-finite test vector norm", sample=first + i)
+            raise ConfigError("zero test vector", sample=i)
+        raise DataFormatError("non-finite test vector norm", sample=i)
     Yn = Y / norms[:, None]
     return Yn, Yn @ dictionary.columns
 

@@ -327,10 +327,13 @@ def _cmd_classify_hsi(args: argparse.Namespace) -> None:
 
     wls = WlsParams(lam=args.wls_lambda, alpha_wls=args.wls_alpha)
     masked, pixelwise, guidance = classify_pixels(cube, dictionary, params, args.smoothing)
+    # the class maps hold dense ids 1..C; they are saved and scored as input labels
+    original = np.asarray(dictionary.original_labels)
     # nothing left refers to the cube: dropping it here unmaps it before the
     # smoothing, whose sparse LU factor sets the command's peak memory
     del cube, dictionary
-    final = smooth_and_decide(masked, guidance, args.smoothing, args.window, wls)
+    final = original[smooth_and_decide(masked, guidance, args.smoothing, args.window, wls) - 1]
+    pixelwise = original[pixelwise - 1]
     elapsed = time.perf_counter() - start
 
     os.makedirs(args.output_dir, exist_ok=True)

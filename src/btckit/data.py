@@ -46,8 +46,15 @@ class ScalingParams:
 
     @classmethod
     def fit(cls, samples: np.ndarray) -> "ScalingParams":
+        """The ranges of the samples' features; a range too wide to represent
+        (max - min overflows) raises DataFormatError naming the feature."""
         samples = np.asarray(samples, dtype=np.float64)
-        return cls(feat_min=samples.min(axis=0), feat_max=samples.max(axis=0))
+        lo, hi = samples.min(axis=0), samples.max(axis=0)
+        with np.errstate(over="ignore"):  # an overflowing range is refused below
+            finite = np.isfinite(hi - lo)
+        if not finite.all():
+            raise DataFormatError(f"range of feature {int(np.argmin(finite))} (max - min) is not finite")
+        return cls(feat_min=lo, feat_max=hi)
 
 
 @dataclass(frozen=True)

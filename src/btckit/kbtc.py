@@ -62,7 +62,7 @@ def kbtc_residuals(dictionary: Dictionary, Y: np.ndarray, params: KbtcParams) ->
     params.validate(dictionary.n_features, dictionary.n_samples)
     scaling = dictionary.scaling
 
-    def prepare(rows: np.ndarray, first: int, sq: np.ndarray | None) -> tuple:
+    def prepare(rows: np.ndarray, sq: np.ndarray | None) -> tuple:
         # scaling.apply widens the chunk itself
         rows = np.asarray(rows, dtype=np.float64) if scaling is None else scaling.apply(rows)
         return *_kernel_rows(dictionary, rows, params.spec, sq), None
@@ -75,20 +75,18 @@ def kbtc_classify(
     y: np.ndarray,
     params: KbtcParams,
     cache: KernelCache,
-    support: np.ndarray | None = None,
 ) -> tuple[ResidualVector, SparseCode]:
     """Classify one sample with the kernel BTC.
 
     Residuals are computed in kernel space:
     eps(j)^2 = K(y,y) - 2 x_j' K(A_j,y) + x_j' K(A_j,A_j) x_j.
-    An explicit ``support`` overrides the selection step.
     """
     params.validate(dictionary.n_features, dictionary.n_samples)
     if cache.spec != params.spec:
         raise ConfigError("kernel cache was built with a different spec")
     y = np.asarray(y, dtype=np.float64)[None, :]
     V, kyy = _kernel_rows(dictionary, y, params.spec, squared_norms(dictionary.columns, params.spec))
-    support = top_m_select(V[0], params.m) if support is None else np.asarray(support, np.int64)
+    support = top_m_select(V[0], params.m)
     residuals, coeffs = gram_residuals(
         cache.gram[np.ix_(support, support)][None], dictionary.labels, dictionary.n_classes, V,
         kyy, support[None, :], params.alpha,

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from btckit.data import Dictionary, NORM_L2
-from btckit.errors import ConfigError, NumericalError
+from btckit.errors import BtckitError, ConfigError, NumericalError
 
 # concurrent.futures is imported by the first parallel chunk loop, so importing btckit does not load it
 if TYPE_CHECKING:
@@ -81,19 +81,19 @@ def map_chunks(fn: Callable[[slice], None], slices: Iterable[slice]) -> None:
     known to run one thread (see :func:`one_blas_thread`), whose own threads
     would then compete with these. After a failure no slice is started; the
     calls already running finish, and the error of the lowest failing slice
-    is raised, the one the inline loop would raise.
+    is raised, the one the inline loop would raise. ``fn`` counts a chunk's
+    rows from 0: the slice's start is added to the ``sample`` of a
+    BtckitError it raises, so the error names the batch's sample.
     """
     slices = list(slices)
     workers = min(_cpu_count(), len(slices))
     if workers < 2 or getattr(_chunk_thread, "busy", False) or _blas_threads() != 1:
-        for sl in slices:
-            fn(sl)
-        return
+        workers = 1
     lock, stop = threading.Lock(), threading.Event()
     order, errors = iter(range(len(slices))), {}
 
     def run() -> None:
-        _chunk_thread.busy = True
+        busy, _chunk_thread.busy = getattr(_chunk_thread, "busy", False), True
         try:
             while True:
                 with lock:
@@ -103,11 +103,13 @@ def map_chunks(fn: Callable[[slice], None], slices: Iterable[slice]) -> None:
                 try:
                     fn(slices[i])
                 except Exception as exc:  # raised below, on the calling thread
+                    if isinstance(exc, BtckitError) and exc.sample is not None:
+                        exc.sample += slices[i].start
                     with lock:
                         errors[i] = exc
                     stop.set()
         finally:
-            _chunk_thread.busy = False
+            _chunk_thread.busy = busy
 
     helpers = [_helpers().submit(run) for _ in range(workers - 1)]
     try:
@@ -366,13 +368,13 @@ def batch_residuals(
     m: int,
     alpha: float,
     spec: KernelSpec,
-    prepare: Callable[[np.ndarray, int], tuple],
+    prepare: Callable[[np.ndarray, np.ndarray | None], tuple],
 ) -> np.ndarray:
     """Per-class residuals (S x C) of every row of Y; row i predicts ``argmin(out[i]) + 1``.
 
     Rows go in chunks (:func:`map_chunks`), so memory stays bounded for any
-    S, and Y may have any real float dtype: ``prepare(rows, first, sq)``
-    widens one chunk (row ``first`` onwards) and returns its values K(A, y)
+    S, and Y may have any real float dtype: ``prepare(rows, sq)`` widens
+    one chunk and returns its values K(A, y)
     under ``spec``, each K(y, y) and the ``features`` of
     :func:`gram_residuals` (or None); ``sq`` holds the columns'
     :func:`squared_norms`, computed once per call. Each chunk is coded on
@@ -400,11 +402,10 @@ def batch_residuals(
     out = np.empty((Y.shape[0], dictionary.n_classes))
 
     def code(sl: slice) -> None:
-        V, kyy, features = prepare(Y[sl], sl.start, sq)
+        V, kyy, features = prepare(Y[sl], sq)
         support = top_m_rows(V, m)
         out[sl], _ = gram_residuals(
-            blocks(support), dictionary.labels, dictionary.n_classes, V, kyy, support, alpha,
-            sl.start, features,
+            blocks(support), dictionary.labels, dictionary.n_classes, V, kyy, support, alpha, features
         )
 
     map_chunks(code, chunks(Y.shape[0], n + m * m))
@@ -438,7 +439,6 @@ def gram_residuals(
     kyy: np.ndarray,
     support: np.ndarray,
     alpha: float,
-    first: int = 0,
     features: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Code S samples on their S x k supports; return (S x C residuals, S x k codes).
@@ -451,20 +451,17 @@ def gram_residuals(
     sqrt(K(y,y)) without any. See RADICAND_FLOOR for negative radicands.
     With explicit ``features`` (A's columns as N x B rows and the S x B rows
     y) the residual is ||y - A_j x_j|| instead, free of the Gram form's
-    cancellation when codes are large. Errors name sample ``first + i``.
+    cancellation when codes are large. Errors name sample i.
     """
     s, k = support.shape
     kyy = np.asarray(kyy, dtype=np.float64)
     rows = np.arange(s)[:, None]
     v = V[rows, support]
-    try:
-        x = solve_spd_regularized(G, v, alpha)
-    except NumericalError as exc:
-        raise NumericalError(exc.args[0], sample=first + exc.sample) from None
+    x = solve_spd_regularized(G, v, alpha)
     labels = col_labels[support] - 1
     if features is not None:
         return _feature_residuals(*features, support, x, labels, n_classes, kyy), x
-    return _class_residuals(G, v, x[:, None, :], labels, n_classes, kyy, k, first)[:, 0], x
+    return _class_residuals(G, v, x[:, None, :], labels, n_classes, kyy, k)[:, 0], x
 
 
 def _class_residuals(
@@ -475,7 +472,6 @@ def _class_residuals(
     n_classes: int,
     kyy: np.ndarray,
     k: int | np.ndarray,
-    first: int,
 ) -> np.ndarray:
     """Per-class residuals (S x J x C) of J codes per sample on one support each.
 
@@ -485,7 +481,7 @@ def _class_residuals(
     an array broadcasting against J x C). Class j's residual is
     sqrt(K(y,y) - 2 x_j'v_j + x_j'G_jj x_j). A radicand below RADICAND_FLOOR,
     less the rounding its terms can carry, raises NumericalError naming
-    sample ``first + i``; a negative one above it is clamped to zero.
+    sample i; a negative one above it is clamped to zero.
     """
     G_own = np.where(labels[:, :, None] == labels[:, None, :], G, 0.0)
     onehot = (labels[:, :, None] == np.arange(n_classes)).astype(np.float64)
@@ -509,7 +505,7 @@ def _class_residuals(
         i, _, c = bad[0]
         raise NumericalError(
             f"negative residual radicand {radicand[tuple(bad[0])]:.3e} for class {c + 1}",
-            sample=first + int(i),
+            sample=int(i),
         )
     return np.sqrt(np.maximum(radicand, 0.0))
 
@@ -551,16 +547,15 @@ def beta_profile(
     ms: Sequence[int],
     alpha: float,
     gram: np.ndarray | None = None,
-    cols: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Identification ratios (len(ms) x len(cols), all columns by default) per M.
+    """Identification ratios (len(ms) x N) of every dictionary column per M.
 
     Column g is coded on the M-1 columns ranked highest in |gram[:, g]| (itself
     excluded) and scored as own-class residual over best rival residual, inf
     on a zero rival. Supports for every M are prefixes of one ranking, so
     one Cholesky factorization per column serves every M. Columns go in
-    chunks (:func:`map_chunks`). ``gram`` is the kernel matrix of the
-    columns, by default A'A.
+    chunks (:func:`map_chunks`), and errors name the column as the sample.
+    ``gram`` is the kernel matrix of the columns, by default A'A.
     """
     n_classes, col_labels = dictionary.n_classes, dictionary.labels
     if n_classes < 2:
@@ -573,24 +568,20 @@ def beta_profile(
     if gram is None:
         gram = dictionary.columns.T @ dictionary.columns
     n = gram.shape[0]
-    cols = np.arange(n) if cols is None else np.asarray(cols, dtype=np.int64)
     k_max = min(int(ks.max()), n - 1)
     ks = np.minimum(ks, k_max)
     # row j keeps the first ks[j] atoms of the ranking
     prefix = np.arange(k_max) < ks[:, None]
-    out = np.empty((ks.size, cols.size))
+    out = np.empty((ks.size, n))
 
     def profile(sl: slice) -> None:
-        g = cols[sl]
+        g = np.arange(sl.start, sl.stop)
         V = np.ascontiguousarray(gram[:, g].T)
         ranked = top_m_rows(V, k_max, exclude=g) if k_max else np.empty((g.size, 0), np.int64)
         rows = np.arange(g.size)
         G = gram[ranked[:, :, None], ranked[:, None, :]]
         v = V[rows[:, None], ranked]
-        try:
-            L = _cholesky(G + alpha * np.eye(k_max))
-        except NumericalError as exc:
-            raise NumericalError(exc.args[0], sample=sl.start + exc.sample) from None
+        L = _cholesky(G + alpha * np.eye(k_max))
         # W = L^-1 is lower triangular and its leading k x k block inverts L's,
         # so the code on the first k atoms is x_k = W_k' (W_k v_k)
         W = _tril_inverse(L)
@@ -598,7 +589,7 @@ def beta_profile(
         x = np.matmul(z[:, None, :] * prefix, W)
         del L, W  # spent: the residuals below need fewer k x k stacks alive
         labels = col_labels[ranked] - 1
-        residuals = _class_residuals(G, v, x, labels, n_classes, gram[g, g], ks[:, None], sl.start)
+        residuals = _class_residuals(G, v, x, labels, n_classes, gram[g, g], ks[:, None])
         own = col_labels[g] - 1
         mine = residuals[rows, :, own]
         residuals[rows, :, own] = np.inf
@@ -606,7 +597,7 @@ def beta_profile(
         with np.errstate(divide="ignore", invalid="ignore"):
             out[:, sl] = np.where(rival == 0, np.inf, mine / rival).T
 
-    map_chunks(profile, chunks(cols.size, n + k_max * (k_max + ks.size)))
+    map_chunks(profile, chunks(n, n + k_max * (k_max + ks.size)))
     return out
 
 

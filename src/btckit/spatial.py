@@ -58,8 +58,10 @@ def build_residual_cube(
     whole cube goes through one batch call, which widens the pixels to
     float64 one chunk at a time. The whole cube is min-max normalized to
     [0, 1] with one scale, so residuals stay comparable across layers. Also
-    returns the pixel-wise (H, W) class map. A pixel that fails raises
-    NumericalError naming its (row, column).
+    returns the pixel-wise (H, W) class map of dense ids 1..C (the
+    dictionary's ``original_labels`` map them back). An error about one
+    pixel keeps its class and names the pixel's (row, column) in place of
+    its sample.
     """
     h, w, bands = cube.shape
     pixels = cube.reshape(h * w, bands)
@@ -72,7 +74,7 @@ def build_residual_cube(
         if exc.sample is None:
             raise
         r, c = divmod(exc.sample, w)
-        raise NumericalError(f"pixel ({r},{c}): {exc.args[0]}") from exc
+        raise type(exc)(f"pixel ({r},{c}): {exc.args[0]}") from exc
     # np.argmin returns the first minimum: lowest class id on ties
     classmap = np.argmin(flat, axis=1).reshape(h, w) + 1
     residuals = min_max(flat.reshape(h, w, dictionary.n_classes))
@@ -81,7 +83,7 @@ def build_residual_cube(
 
 def mask_by_classmap(residuals: np.ndarray, classmap: np.ndarray) -> np.ndarray:
     """Set layer i of a normalized H x W x C cube to the maximum residual 1
-    wherever the (H, W) class map's label is not i."""
+    wherever the (H, W) class map's dense id (1..C) is not i."""
     if classmap.shape != residuals.shape[:2]:
         raise ConfigError("class map dims do not match cube")
     own = classmap[:, :, None] == np.arange(1, residuals.shape[2] + 1)
@@ -176,8 +178,8 @@ def _guidance_laplacian(guidance: np.ndarray, params: WlsParams) -> scipy.sparse
 
 
 def decide_from_cube(residuals: np.ndarray) -> np.ndarray:
-    """(H, W) class map of the per-pixel argmin over the layers of an H x W x C
-    cube; ties resolve to the lowest class id."""
+    """(H, W) class map of dense ids 1..C, the per-pixel argmin over the layers
+    of an H x W x C cube; ties resolve to the lowest class id."""
     return np.argmin(residuals, axis=2).astype(np.int64) + 1
 
 
@@ -237,8 +239,10 @@ def spatial_spectral_classify(
     :func:`classify_pixels` followed by :func:`smooth_and_decide`.
     ``smoothing`` is one of none/box/wls. WLS is guided by the first
     principal component of the cube. Returns the (H, W) smoothed and
-    pixel-wise class maps. The caller's cube stays alive through smoothing;
-    the CLI calls the two halves itself and drops the cube between them.
+    pixel-wise class maps, both of dense ids 1..C (the dictionary's
+    ``original_labels`` map them back). The caller's cube stays alive
+    through smoothing; the CLI calls the two halves itself and drops the
+    cube between them.
     """
     masked, pixelwise, guidance = classify_pixels(cube, dictionary, params, smoothing)
     return smooth_and_decide(masked, guidance, smoothing, window, wls_params), pixelwise

@@ -21,7 +21,7 @@ from btckit import (
     btc_estimate_threshold,
     build_dictionary,
     default_gamma_grid,
-    ensemble_classify,
+    ensemble_residuals,
     evaluate,
     kbtc_classify,
     kbtc_estimate_params,
@@ -128,7 +128,7 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_linear_kernel_bridge():
     rng = default_rng(101)
-    worst = 0.0
+    worst, same_support = 0.0, True
     for _ in range(100):
         b = int(rng.integers(4, 21))
         n = int(rng.integers(8, 41))
@@ -139,16 +139,16 @@ def test_criterion_3_linear_kernel_bridge():
         d = build_dictionary(samples, labels, NORM_L2)
         m = int(rng.integers(1, min(b, n)))
         y = rng.normal(size=b)
-        yn = y / np.linalg.norm(y)
+        # normalized as BTC normalizes its rows, so both select on the same correlations
+        yn = (y[None] / np.linalg.norm(y[None], axis=1)[:, None])[0]
         res_b, code = btc_classify(d, y, BtcParams(m=m, alpha=0.01))
         spec = KernelSpec(kind="linear")
         cache = kernel_cache(d, spec)
-        res_k, _ = kbtc_classify(
-            d, yn, KbtcParams(m=m, alpha=0.01, spec=spec), cache, support=code.support
-        )
+        res_k, code_k = kbtc_classify(d, yn, KbtcParams(m=m, alpha=0.01, spec=spec), cache)
+        same_support = same_support and np.array_equal(code_k.support, code.support)
         worst = max(worst, float(np.abs(res_k.values - res_b.values).max()))
-    ok = worst <= 1e-9
-    _report(3, ok, f"linear-kernel bridge, worst residual gap {worst:.2e}")
+    ok = worst <= 1e-9 and same_support
+    _report(3, ok, f"linear-kernel bridge, same supports {same_support}, worst residual gap {worst:.2e}")
 
 
 def test_criterion_4_nonlinear_separation(rings_fit):
@@ -209,9 +209,8 @@ def test_criterion_6_ensemble_gain():
         x_tr, y_tr = make_blobs(20, 5, 200, seed, 1.2)
         x_te, y_te = make_blobs(10, 5, 200, seed + 1000, 1.2)
         for n in (1, 5):
-            pred = np.array(
-                [ensemble_classify(x_tr, y_tr, s, n, params, 30, 3, seed)[0] for s in x_te]
-            )
+            fused = ensemble_residuals(x_tr, y_tr, x_te, n, params, 30, 3, seed)
+            pred = np.unique(y_tr)[np.argmin(fused, axis=1)]
             oa[n].append(np.mean(pred == y_te))
     elapsed = time.perf_counter() - start
     mean1, mean5 = float(np.mean(oa[1])), float(np.mean(oa[5]))

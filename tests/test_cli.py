@@ -8,11 +8,12 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
@@ -383,6 +384,26 @@ class TestNonFiniteCells:
         assert main(args) == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["classify", "--m", "6", "--classifier", "kbtc"], ["estimate-kbtc", "--gamma-grid", "0.5"]]
+    )
+    def test_feature_range_too_wide_exit_code_names_the_feature(self, blob_files, tmp_path, capsys, command):
+        # finite, so the file passes its check, but max - min overflows in every feature
+        (tr_x, tr_y), (te_x, te_y) = blob_files
+        with open(tr_x) as fh:
+            rows = fh.read().splitlines()
+        width = len(rows[3].split(","))
+        rows[3], rows[4] = ",".join(["1e308"] * width), ",".join(["-1e308"] * width)
+        with open(tr_x, "w") as fh:
+            fh.write("\n".join(rows) + "\n")
+        args = command + ["--train", tr_x, "--train-labels", tr_y, "--output-dir", str(tmp_path / "out")]
+        if command[0] == "classify":
+            args += ["--test", te_x, "--test-labels", te_y]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any overflow warning
+            assert main(args) == 3
+        assert "range of feature 0 (max - min) is not finite" in capsys.readouterr().err
+
 
 def _hsi_files(tmp_path):
     cube, gt = make_blocky_scene(seed=4, sigma=0.4, h=20, w=20, bands=8)
@@ -479,6 +500,44 @@ class TestHsiCommand:
         report = json.loads((out / "report_pixelwise.json").read_text())
         assert np.sum(report["confusion"]) == test.sum() < (gt > 0).sum()
         assert report["oa"] == pytest.approx(np.mean(pixelwise[test] == gt[test]))
+
+    def test_class_maps_carry_the_input_labels(self, tmp_path):
+        args, gt, mask = _hsi_files(tmp_path)
+        flags = ["--smoothing", "box", "--output-dir"]
+        assert main(args + flags + [str(tmp_path / "dense")]) == 0
+        # labels 1..4 become 1, 3, 5, 7; unlabeled pixels stay 0
+        save_label_map(np.where(gt > 0, 2 * gt - 1, 0), str(tmp_path / "gt.csv"))
+        save_label_map(np.where(mask > 0, 2 * mask - 1, 0), str(tmp_path / "mask.csv"))
+        assert main(args + flags + [str(tmp_path / "sparse")]) == 0
+        for name in ("pixelwise", "smoothed"):
+            dense = np.loadtxt(tmp_path / "dense" / f"classmap_{name}.csv", delimiter=",", dtype=np.int64)
+            sparse = np.loadtxt(tmp_path / "sparse" / f"classmap_{name}.csv", delimiter=",", dtype=np.int64)
+            np.testing.assert_array_equal(sparse, 2 * dense - 1)
+            reports = [json.loads((tmp_path / side / f"report_{name}.json").read_text()) for side in ("dense", "sparse")]
+            assert reports[1]["oa"] == reports[0]["oa"] and reports[1]["kappa"] == reports[0]["kappa"]
+
+    @pytest.mark.parametrize(
+        "value, code, message", [(1e200, 3, "non-finite test vector norm"), (0.0, 2, "zero test vector")]
+    )
+    def test_bad_test_pixel_exit_code_names_the_pixel(self, tmp_path, capsys, value, code, message):
+        args, _, mask = _hsi_files(tmp_path)
+        cube = load_hsi_cube(args[2], args[4])
+        r, c = np.argwhere(mask == 0)[5]
+        cube[r, c] = value
+        save_hsi_cube(cube, args[2], args[4], dtype="f64")
+        assert main(args + ["--output-dir", str(tmp_path / "hsi")]) == code
+        assert f"pixel ({r},{c}): {message}" in capsys.readouterr().err
+
+    def test_kbtc_feature_range_too_wide_exit_code_names_the_feature(self, tmp_path, capsys):
+        args, _, mask = _hsi_files(tmp_path)
+        cube = load_hsi_cube(args[2], args[4])
+        (r0, c0), (r1, c1) = np.argwhere(mask > 0)[:2]
+        cube[r0, c0], cube[r1, c1] = 1e308, -1e308  # two training pixels: max - min overflows
+        save_hsi_cube(cube, args[2], args[4], dtype="f64")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any overflow warning
+            assert main(args + ["--classifier", "kbtc", "--output-dir", str(tmp_path / "hsi")]) == 3
+        assert "range of feature 0 (max - min) is not finite" in capsys.readouterr().err
 
     def test_wls_losing_identity_term_exit_code(self, tmp_path):
         args, _, _ = _hsi_files(tmp_path)
@@ -682,41 +741,44 @@ def test_every_int_flag_has_a_bounded_type():
             assert action.type(str(action.default)) == action.default
 
 
-# The CLI contract through main for every subcommand: small valid runs, changed by drawn values
+# The CLI contract through main for every subcommand: small valid runs, changed by drawn values.
+# Paths are relative to the fixture's directory, the working directory of every run.
+_DENSE = ["--train", "tr_x.csv", "--train-labels", "tr_y.csv"]
+_TEST = ["--test", "te_x.csv", "--test-labels", "te_y.csv"]
+_RUNS = {
+    "classify": ["classify", *_DENSE, *_TEST, "--m", "3"],
+    "estimate-btc": ["estimate-btc", *_DENSE],
+    "estimate-kbtc": ["estimate-kbtc", *_DENSE, "--gamma-grid", "0.5,2"],
+    "classify-hsi": ["classify-hsi", "--cube-header", "c.hdr", "--cube-raw", "c.raw", "--gt", "gt.csv",
+                     "--train-mask", "mask.csv", "--m", "6"],
+    "ensemble": ["ensemble", *_DENSE, *_TEST, "--n", "2", "--b", "4", "--m", "2"],
+    "roc": ["roc", "--valid-margins", "valid.txt", "--invalid-margins", "invalid.txt", "--points", "5"],
+    "synth-recovery": ["synth-recovery", "--n", "32", "--b", "16", "--k", "2", "--m", "8"],
+    "coherence": ["coherence", *_DENSE],
+}
+_BAD_FILES = {"missing": b"", "empty": b"", "not-utf8": b"1,\xe9\n", "ragged": b"1,2\n3\n",
+              "huge": b"1e308,-1e308,1e308,1e308,1e308,1e308\n" * 8}
+
+
 @pytest.fixture(scope="module")
-def contract_runs(tmp_path_factory):
+def contract_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("contract")
     x, y = make_blobs(4, 2, 6, 0, 0.5)
-    tr_x, tr_y = _write_dense(root, "tr", x, y)
-    te_x, te_y = _write_dense(root, "te", x[:3], y[:3])
-    hsi = _hsi_files(root)[0]
+    _write_dense(root, "tr", x, y)
+    _write_dense(root, "te", x[:3], y[:3])
+    _hsi_files(root)
     (root / "valid.txt").write_text("0.9\n0.4\n")
     (root / "invalid.txt").write_text("0.1\n")
-    dense = ["--train", tr_x, "--train-labels", tr_y]
-    test = ["--test", te_x, "--test-labels", te_y]
-    runs = {
-        "classify": ["classify", *dense, *test, "--m", "3"],
-        "estimate-btc": ["estimate-btc", *dense],
-        "estimate-kbtc": ["estimate-kbtc", *dense, "--gamma-grid", "0.5,2"],
-        "classify-hsi": hsi,
-        "ensemble": ["ensemble", *dense, *test, "--n", "2", "--b", "4", "--m", "2"],
-        "roc": ["roc", "--valid-margins", str(root / "valid.txt"), "--invalid-margins",
-                str(root / "invalid.txt"), "--points", "5"],
-        "synth-recovery": ["synth-recovery", "--n", "32", "--b", "16", "--k", "2", "--m", "8"],
-        "coherence": ["coherence", *dense],
-    }
-    bad_files = {"missing": b"", "empty": b"", "not-utf8": b"1,\xe9\n", "ragged": b"1,2\n3\n",
-                 "huge": b"1e308,-1e308,1e308,1e308,1e308,1e308\n" * 8}
-    for name, content in bad_files.items():
+    for name, content in _BAD_FILES.items():
         if name != "missing":
             (root / name).write_bytes(content)
-    return root, runs, [str(root / name) for name in bad_files]
+    return root
 
 
 _JUNK = st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=6)
 
 
-def _value(action, bad_files):
+def _value(action):
     """Text for one flag: small or far-out ints, non-finite floats, bad files, junk."""
     if action.choices:
         good = st.sampled_from(sorted(action.choices))
@@ -728,32 +790,43 @@ def _value(action, bad_files):
     elif action.dest == "gamma_grid":
         good = st.sampled_from(["0.5", "2^-1..2^1", "2^-70..2^1000", "1,0,-1"])
     else:
-        good = st.sampled_from(bad_files)
+        good = st.sampled_from(list(_BAD_FILES))
     return good | _JUNK
 
 
 @st.composite
-def _contract_example(draw, runs, bad_files):
-    name = draw(st.sampled_from(sorted(runs)))
+def _contract_example(draw):
+    name = draw(st.sampled_from(sorted(_RUNS)))
     command = _build_parser()[1][name]
     actions = [a for a in command._actions if a.dest not in ("help", "config", "output_dir")]
-    argv, lines = list(runs[name]), []
+    argv, lines = list(_RUNS[name]), []
     for action in draw(st.lists(st.sampled_from(actions), max_size=3, unique_by=lambda a: a.dest)):
-        value = draw(_value(action, bad_files))
+        value = draw(_value(action))
         if draw(st.booleans()):
             argv += [action.option_strings[0], value]
         else:  # a config line, conflicting with a flag when argv already sets it
             lines.append(f"{action.option_strings[0][2:]}={value.strip()}")
     config = draw(st.sampled_from(["none", "lines", "missing", "not-utf8", "malformed"]))
-    return command, argv, lines, config
+    return name, argv, lines, config
+
+
+def _huge_training_file(name, *flags):
+    """A valid run of ``name`` whose training file holds cells too large to square."""
+    return name, [*_RUNS[name], *flags, "--train", "huge"], [], "none"
 
 
 class TestCliContract:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(data=st.data())
-    def test_any_value_exits_with_a_contract_code(self, contract_runs, data):
-        root, runs, bad_files = contract_runs
-        command, argv, lines, config = data.draw(_contract_example(runs, bad_files))
+    @given(case=_contract_example())
+    # the huge-cell file with otherwise valid flags, on each command that L2-normalizes it
+    @example(case=_huge_training_file("coherence"))
+    @example(case=_huge_training_file("estimate-btc"))
+    @example(case=_huge_training_file("classify", "--classifier", "btc"))
+    @example(case=_huge_training_file("ensemble"))
+    def test_any_value_exits_with_a_contract_code(self, contract_root, case):
+        root, (name, argv, lines, config) = contract_root, case
+        command = _build_parser()[1][name]
+        argv = list(argv)
         out, from_file, cfg = root / "out", root / "from_file", root / "run.cfg"
         for stale in (out, from_file):
             shutil.rmtree(stale, ignore_errors=True)
@@ -765,12 +838,12 @@ class TestCliContract:
         if config != "none":
             argv += ["--config", str(cfg)]
         err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.chdir(root), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             rc = main(argv + ["--output-dir", str(out)])
         assert rc in (0, 2, 3, 4), err.getvalue()
         assert "Traceback" not in err.getvalue()
         given = argv + (lines if config == "lines" else [])
-        if any(str(root / "huge") in token for token in given) and not any("kbtc" in t for t in given):
+        if any(token.rpartition("=")[2] == "huge" for token in given) and not any("kbtc" in t for t in given):
             # its cells are too large to square: refused (exit 3) unless the parser refused
             # another value first (exit 2); KBTC range-scales them instead, another case
             assert rc in (2, 3), err.getvalue()

@@ -110,9 +110,10 @@ class TestBatchEqualsSingle:
         _, d, _ = _problem(*problem)
         with _tiny_chunks():
             _, profile = btc_estimate_threshold(d, 0.01)
-        for m, beta in profile[: d.n_samples - 1]:
-            single = [beta_profile(d, [m], 0.01, cols=[g])[0, 0] for g in range(d.n_samples)]
-            assert beta == pytest.approx(np.mean(single), rel=0, abs=1e-12)
+        profile = profile[: d.n_samples - 1]
+        full = beta_profile(d, [m for m, _ in profile], 0.01)  # in chunks of the default size
+        for (_, beta), row in zip(profile, full):
+            assert beta == pytest.approx(np.mean(row), rel=0, abs=1e-12)
 
     def test_kbtc_cube_scales_raw_pixels(self):
         rng, d, m = _problem(5, 6, 5, 3, 4, norm_mode=NORM_RANGE)
@@ -128,11 +129,12 @@ class TestBatchEqualsSingle:
 
     def test_kbtc_beta_profile(self):
         _, d, _ = _problem(7, 5, 6, 2, 3, norm_mode=NORM_RANGE)
-        gamma_hat, _, _, m_profile = kbtc_estimate_params(d, 1e-6, gamma_grid=[0.5, 2.0])
+        with _tiny_chunks():
+            gamma_hat, _, _, m_profile = kbtc_estimate_params(d, 1e-6, gamma_grid=[0.5, 2.0])
         gram = kernel_cache(d, KernelSpec(kind="rbf", gamma=gamma_hat)).gram
-        for m, beta in m_profile:
-            single = [beta_profile(d, [m], 1e-6, gram, [g])[0, 0] for g in range(d.n_samples)]
-            assert beta == pytest.approx(np.mean(single), rel=0, abs=1e-12)
+        full = beta_profile(d, [m for m, _ in m_profile], 1e-6, gram)  # in chunks of the default size
+        for (_, beta), row in zip(m_profile, full):
+            assert beta == pytest.approx(np.mean(row), rel=0, abs=1e-12)
 
 
 def _block_calls(monkeypatch):

@@ -223,6 +223,11 @@ class TestScalingParams:
         assert np.all(np.isfinite(scaled))
         np.testing.assert_allclose(scaled[:, 0], 0.0)
 
+    def test_range_too_wide_to_represent_rejected(self):
+        samples = np.array([[0.0, 1e308], [1.0, -1e308], [2.0, 0.0]])  # max - min overflows in feature 1
+        with pytest.raises(DataFormatError, match=r"range of feature 1 \(max - min\) is not finite"):
+            ScalingParams.fit(samples)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_apply_equals_the_two_step_formula_and_leaves_its_input(self, rng, dtype):
         train = rng.normal(size=(30, 6)) * 5.0

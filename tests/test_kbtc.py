@@ -220,13 +220,13 @@ class TestKbtcClassify:
         rng = default_rng(24)
         d = random_dictionary(rng, b=8, n=16, n_classes=2)
         y = rng.normal(size=8)
-        yn = y / np.linalg.norm(y)
+        # normalized as BTC normalizes its rows, so both select on the same correlations
+        yn = (y[None] / np.linalg.norm(y[None], axis=1)[:, None])[0]
         res_b, code_b = btc_classify(d, y, BtcParams(m=5, alpha=0.01))
         spec = KernelSpec(kind="linear")
         cache = kernel_cache(d, spec)
-        res_k, _ = kbtc_classify(
-            d, yn, KbtcParams(m=5, alpha=0.01, spec=spec), cache, support=code_b.support
-        )
+        res_k, code_k = kbtc_classify(d, yn, KbtcParams(m=5, alpha=0.01, spec=spec), cache)
+        np.testing.assert_array_equal(code_k.support, code_b.support)
         np.testing.assert_allclose(res_k.values, res_b.values, atol=1e-9)
 
     def test_rings_separable_only_with_kernel(self):
@@ -328,13 +328,13 @@ class TestKbtcBeta:
     def test_tight_clusters_are_identifiable(self):
         d = self._clustered()
         gram = kernel_cache(d, KernelSpec(kind="rbf", gamma=1.0)).gram
-        betas = [beta_profile(d, [3], 1e-9, gram, [col])[0, 0] for col in range(12)]
+        betas = beta_profile(d, [3], 1e-9, gram)[0]
         assert max(betas) < 0.5
 
     def test_large_gamma_limit_is_one(self):
         d = self._clustered()
         gram = kernel_cache(d, KernelSpec(kind="rbf", gamma=1e6)).gram
-        beta = beta_profile(d, [3], 1e-9, gram, [0])[0, 0]
+        beta = beta_profile(d, [3], 1e-9, gram)[0, 0]
         assert beta == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_independent_oracle(self):
@@ -343,10 +343,11 @@ class TestKbtcBeta:
         gamma = 0.8
         spec = KernelSpec(kind="rbf", gamma=gamma)
         cache = kernel_cache(d, spec)
+        m = 4
+        betas = beta_profile(d, [m], 1e-4, cache.gram)[0]
         for col in range(14):
             cid = int(d.labels[col])
-            m = 4
-            got = beta_profile(d, [m], 1e-4, cache.gram, [col])[0, 0]
+            got = betas[col]
             # oracle: rank kernel values, drop self, take m-1, solve, residuals
             a = d.columns[:, col]
             v = np.array([rbf_oracle(d.columns[:, i], a, gamma) for i in range(14)])
@@ -362,8 +363,9 @@ class TestKbtcBeta:
         spec = KernelSpec(kind="rbf", gamma=1.0)
         cache = kernel_cache(d, spec)
         params = KbtcParams(m=3, alpha=1e-9, spec=spec)
+        betas = beta_profile(d, [3], 1e-9, cache.gram)[0]
         for col in range(d.n_samples):
-            if beta_profile(d, [3], 1e-9, cache.gram, [col])[0, 0] < 1.0:
+            if betas[col] < 1.0:
                 res, _ = kbtc_classify(d, d.columns[:, col], params, cache)
                 assert res.predicted_class == d.labels[col]
 

@@ -121,19 +121,33 @@ class TestParallelChunksEqualInline:
 class TestParallelChunkRules:
     def test_two_failing_chunks_raise_the_lower_sample(self, workers, helpers, tiny_chunks, monkeypatch):
         d, Y = _problem(NORM_L2, rows=12)
-        Y[[3, 8]] = 1e200  # squares overflow: both norms are infinite
+        Y[3], Y[8] = 1e200, 2e200  # squares overflow: both norms are infinite
         real = btc._correlations
 
-        def late_at_row_3(dictionary, rows, first=0):
-            if first == 3:  # the higher failing chunk fails first
+        def late_at_row_3(dictionary, rows):
+            if (rows == 1e200).any():  # the chunk holding row 3: the higher failing chunk fails first
                 time.sleep(0.2)
-            return real(dictionary, rows, first)
+            return real(dictionary, rows)
 
         monkeypatch.setattr(btc, "_correlations", late_at_row_3)
         workers(2)
         with pytest.raises(DataFormatError, match="sample 3: non-finite test vector norm"):
             btc_residuals(d, Y, BtcParams(m=4, alpha=0.01))
         assert helpers
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("row, sample", [(1, 5), (None, None)])  # row 1 of the chunk from 4, or no row
+    def test_error_names_the_batch_sample(self, workers, helpers, n, row, sample):
+        workers(n)
+
+        def fail_in_third(sl):
+            if sl.start == 4:
+                raise DataFormatError("bad row", sample=row)
+
+        with pytest.raises(DataFormatError, match="bad row$") as caught:
+            map_chunks(fail_in_third, [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 8)])
+        assert caught.value.sample == sample
+        assert bool(helpers) == (n == 2)
 
     def test_one_chunk_starts_no_thread(self, workers, helpers):
         d, Y = _problem(NORM_L2, rows=1)
