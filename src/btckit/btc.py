@@ -72,9 +72,11 @@ class ResidualVector:
 def btc_residuals(dictionary: Dictionary, Y: np.ndarray, params: BtcParams) -> np.ndarray:
     """Per-class residuals (S x C) of every row of Y: the batch form of :func:`btc_classify`.
 
-    Each row is L2-normalized; its residuals are reconstruction errors in
-    feature space. The supports' Gram blocks are those of the linear kernel;
-    see :func:`batch_residuals` for chunking, dtypes and where they come from.
+    Each row is L2-normalized; its residuals are those of the linear kernel
+    in Gram form, and reconstruction errors in feature space for the rows
+    whose rounding needs them (:func:`gram_residuals`). See
+    :func:`batch_residuals` for chunking, dtypes and where the supports'
+    Gram blocks come from.
     """
     params.validate(dictionary.n_features, dictionary.n_samples)
     atoms = np.ascontiguousarray(dictionary.columns.T)

@@ -16,7 +16,7 @@ import numpy as np
 
 from btckit.btc import BtcParams, ResidualVector, SparseCode, threshold_argmin
 from btckit.data import Dictionary
-from btckit.errors import ConfigError
+from btckit.errors import ConfigError, DataFormatError
 from btckit.linalg import (
     KERNEL_RBF,
     KernelSpec,
@@ -102,10 +102,17 @@ def _kernel_rows(
 
     ``sq`` holds the :func:`squared_norms` of A's columns, so only Y's are
     computed here; the values are those of ``kernel_matrix(Y.T, A, spec)``.
+    The first row whose squared norm is not finite (a value too large to
+    square) raises DataFormatError naming sample i.
     """
-    V = kernel_values(Y @ dictionary.columns, spec, squared_norms(Y.T, spec), sq)
-    kyy = np.ones(Y.shape[0]) if spec.kind == KERNEL_RBF else np.einsum("ij,ij->i", Y, Y)
-    return V, kyy
+    rbf = spec.kind == KERNEL_RBF
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        yy = np.sum(Y * Y, axis=1) if rbf else np.einsum("ij,ij->i", Y, Y)
+    bad = np.flatnonzero(~np.isfinite(yy))
+    if bad.size:
+        raise DataFormatError("non-finite squared test vector norm", sample=int(bad[0]))
+    V = kernel_values(Y @ dictionary.columns, spec, yy if rbf else None, sq)
+    return V, (np.ones(Y.shape[0]) if rbf else yy)
 
 
 def kbtc_residual_alt(

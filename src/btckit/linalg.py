@@ -11,12 +11,13 @@ images, and mutual coherence.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from btckit.errors import BtckitError, ConfigError, NumericalError
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
+T = TypeVar("T")
+
 # Batches reach the core in chunks of about this many bytes of float64 work
 # (S x N kernel values, S x M x M systems): memory stays bounded for any
 # test set, cube or column set, and per-chunk overhead stays negligible.
@@ -36,6 +39,11 @@ CHUNK_BYTES = 1 << 20
 # rounding its terms can carry, is a numerical integrity failure; a negative
 # one above it is rounding, clamped to zero.
 RADICAND_FLOOR = -1e-10
+
+# A BTC row keeps its Gram-form residuals only if the rounding bound of every
+# class radicand moves that class's residual by at most this much; other rows
+# are recomputed from features (gram_residuals)
+RESIDUAL_TOL = 1e-12
 
 # _tril_inverse inverts diagonal blocks of at most this order by LU
 TRIL_BLOCK = 32
@@ -72,23 +80,18 @@ _chunk_thread = threading.local()
 def map_chunks(fn: Callable[[slice], None], slices: Iterable[slice]) -> None:
     """Call ``fn`` on every slice, on the calling thread and up to W - 1 helper threads.
 
-    W is the number of CPUs this process may run on, or of slices if fewer;
-    the helpers are the process's kept threads (:func:`_helpers`).
+    W is :func:`_workers`; the helpers are the process's kept threads
+    (:func:`_helpers`).
     The threads take slices in order from one shared iterator, and each call
     must write only its own part of the output, so the result is the inline
-    loop's to the bit. The loop runs inline, in order, when W < 2, when
-    called from a chunk of another map_chunks, or when NumPy's BLAS is not
-    known to run one thread (see :func:`one_blas_thread`), whose own threads
-    would then compete with these. After a failure no slice is started; the
+    loop's to the bit. After a failure no slice is started; the
     calls already running finish, and the error of the lowest failing slice
     is raised, the one the inline loop would raise. ``fn`` counts a chunk's
     rows from 0: the slice's start is added to the ``sample`` of a
     BtckitError it raises, so the error names the batch's sample.
     """
     slices = list(slices)
-    workers = min(_cpu_count(), len(slices))
-    if workers < 2 or getattr(_chunk_thread, "busy", False) or _blas_threads() != 1:
-        workers = 1
+    workers = _workers(len(slices))
     lock, stop = threading.Lock(), threading.Event()
     order, errors = iter(range(len(slices))), {}
 
@@ -122,6 +125,34 @@ def map_chunks(fn: Callable[[slice], None], slices: Iterable[slice]) -> None:
         raise errors[min(errors)]
 
 
+def map_ordered(fn: Callable[[slice], T], slices: Iterable[slice]) -> Iterator[T]:
+    """Yield ``fn(sl)`` for every slice, in order, computed W at a time by :func:`map_chunks`.
+
+    A caller that adds the results up as they come gets the inline loop's
+    sum to the bit, and holds at most one wave of W results at once. An
+    error is raised as :func:`map_chunks` raises it.
+    """
+    slices = list(slices)
+    width = _workers(len(slices))
+    for lo in range(0, len(slices), width):
+        wave, done = slices[lo : lo + width], {}
+        map_chunks(lambda sl: done.__setitem__(sl.start, fn(sl)), wave)
+        yield from (done.pop(sl.start) for sl in wave)
+
+
+def _workers(n_slices: int) -> int:
+    """W, the threads a chunk loop over ``n_slices`` slices runs on.
+
+    The CPUs this process may run on, or the slices if fewer; but 1, so the
+    loop runs inline and in order, when called from a chunk of another chunk
+    loop, or when NumPy's BLAS is not known to run one thread (see
+    :func:`one_blas_thread`), whose own threads would then compete with these.
+    """
+    if getattr(_chunk_thread, "busy", False) or _blas_threads() != 1:
+        return 1
+    return max(1, min(_cpu_count(), n_slices))
+
+
 @cache
 def _helpers() -> ThreadPoolExecutor:
     """The helper threads of :func:`map_chunks`, one fewer than the CPUs, started on first use.
@@ -150,23 +181,23 @@ def _cpu_count() -> int:
 
 @contextmanager
 def one_blas_thread() -> Iterator[None]:
-    """Hold NumPy's OpenBLAS at one thread inside the block; restore its count on leaving.
+    """Hold every bundled OpenBLAS loaded now at one thread in the block; restore each count after.
 
-    :func:`map_chunks` then runs its chunks on every CPU in place of BLAS's
-    own threads. Without a bundled OpenBLAS (:func:`_openblas`) nothing is
-    pinned, and chunks run inline.
+    That is NumPy's (:func:`_openblas`) and, once SciPy has loaded its own,
+    SciPy's (:func:`_scipy_openblas`). :func:`map_chunks` then runs its
+    chunks on every CPU in place of BLAS's own threads, and no idle BLAS
+    thread spins beside the work that follows a SciPy call. Without NumPy's
+    bundled OpenBLAS, chunks run inline.
     """
-    threads = _openblas()
-    if threads is None:
-        yield
-        return
-    get, put = threads
-    before = get()
-    put(1)
+    pins = [threads for threads in (_openblas(), _scipy_openblas()) if threads is not None]
+    before = [get() for get, _ in pins]
+    for _, put in pins:
+        put(1)
     try:
         yield
     finally:
-        put(before)
+        for (_, put), count in zip(pins, before):
+            put(count)
 
 
 def _blas_threads() -> int | None:
@@ -177,21 +208,44 @@ def _blas_threads() -> int | None:
 
 @cache
 def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The thread-count getter and setter of the OpenBLAS NumPy loaded, or None.
+    """The thread-count getter and setter of the OpenBLAS NumPy's wheels bundle, or None.
 
-    NumPy's wheels bundle it as ``numpy.libs/libscipy_openblas64_-*.so``,
-    which exports both. Only a copy already loaded is opened, so this never
-    loads a second one. Looked up at the first use: importing btckit loads
-    no library.
+    NumPy loads it on import, so it is looked up once, at the first use:
+    importing btckit looks up no library.
+    """
+    return _loaded_openblas(np.__file__, "numpy.libs", "libscipy_openblas64_*.so", "64_")
+
+
+def _scipy_openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the OpenBLAS SciPy's wheels bundle, or None.
+
+    It has its own threads, and SciPy loads it with the modules that need it
+    (SuperLU's among them), so it is looked up at every use, once SciPy is
+    imported: this never imports SciPy.
+    """
+    scipy = sys.modules.get("scipy")
+    if scipy is None:
+        return None
+    return _loaded_openblas(scipy.__file__, "scipy.libs", "libscipy_openblas-*.so", "")
+
+
+def _loaded_openblas(
+    package_file: str, libs: str, pattern: str, suffix: str
+) -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """``scipy_openblas_{get,set}_num_threads<suffix>`` of ``<libs>/<pattern>`` beside a package.
+
+    Only a copy already loaded is opened (``RTLD_NOLOAD``), so this never
+    loads a second one.
     """
     import ctypes
     import glob
 
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+    folder = os.path.join(os.path.dirname(package_file), os.pardir, libs)
+    for path in sorted(glob.glob(os.path.join(folder, pattern))):
         try:
             lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
         except (OSError, AttributeError):  # not loaded, or without the symbols
             continue
         get.argtypes, get.restype = [], ctypes.c_int
@@ -449,9 +503,12 @@ def gram_residuals(
     (G_s + alpha I) x = v_s; class j's residual is
     sqrt(K(y,y) - 2 x_j'v_j + x_j'G_jj x_j) over its support atoms,
     sqrt(K(y,y)) without any. See RADICAND_FLOOR for negative radicands.
-    With explicit ``features`` (A's columns as N x B rows and the S x B rows
-    y) the residual is ||y - A_j x_j|| instead, free of the Gram form's
-    cancellation when codes are large. Errors name sample i.
+    Explicit ``features`` (A's unit-norm columns as N x B rows and the
+    unit-norm S x B rows y) mark the linear kernel's BTC: a row whose
+    residuals its radicands' rounding could move by more than RESIDUAL_TOL
+    gets ||y - A_j x_j|| instead (:func:`_feature_residuals`), free of the
+    Gram form's cancellation when codes are large; no radicand then raises.
+    Errors name sample i.
     """
     s, k = support.shape
     kyy = np.asarray(kyy, dtype=np.float64)
@@ -459,9 +516,21 @@ def gram_residuals(
     v = V[rows, support]
     x = solve_spd_regularized(G, v, alpha)
     labels = col_labels[support] - 1
+    out = _class_residuals(G, v, x[:, None, :], labels, n_classes, kyy, k, check=features is None)[:, 0]
     if features is not None:
-        return _feature_residuals(*features, support, x, labels, n_classes, kyy), x
-    return _class_residuals(G, v, x[:, None, :], labels, n_classes, kyy, k)[:, 0], x
+        # a radicand's rounding is at most (k+2) eps size, and with unit-norm
+        # atoms and rows every class's size is at most (1 + ||x||_1)^2
+        bound = (k + 2) * np.finfo(float).eps * (1.0 + np.abs(x).sum(axis=1)) ** 2
+        square, bound = out * out, bound[:, None]
+        up = np.sqrt(square + bound) - out
+        down = out - np.sqrt(np.maximum(square - bound, 0.0))
+        redo = np.flatnonzero(((up > RESIDUAL_TOL) | (down > RESIDUAL_TOL)).any(axis=1))
+        if redo.size:
+            atoms, Y = features
+            out[redo] = _feature_residuals(
+                atoms, Y[redo], support[redo], x[redo], labels[redo], n_classes, kyy[redo]
+            )
+    return out, x
 
 
 def _class_residuals(
@@ -472,6 +541,7 @@ def _class_residuals(
     n_classes: int,
     kyy: np.ndarray,
     k: int | np.ndarray,
+    check: bool = True,
 ) -> np.ndarray:
     """Per-class residuals (S x J x C) of J codes per sample on one support each.
 
@@ -479,9 +549,10 @@ def _class_residuals(
     values K(A_s, y), ``labels`` (S x k) their classes 0..C-1 and ``x``
     (S x J x k) the codes, zero past a code's own support size k (an int or
     an array broadcasting against J x C). Class j's residual is
-    sqrt(K(y,y) - 2 x_j'v_j + x_j'G_jj x_j). A radicand below RADICAND_FLOOR,
-    less the rounding its terms can carry, raises NumericalError naming
-    sample i; a negative one above it is clamped to zero.
+    sqrt(K(y,y) - 2 x_j'v_j + x_j'G_jj x_j). With ``check``, a radicand
+    below RADICAND_FLOOR, less the rounding its terms can carry, raises
+    NumericalError naming sample i; a negative one above it, or any without
+    ``check``, is clamped to zero.
     """
     G_own = np.where(labels[:, :, None] == labels[:, None, :], G, 0.0)
     onehot = (labels[:, :, None] == np.arange(n_classes)).astype(np.float64)
@@ -493,20 +564,22 @@ def _class_residuals(
     np.subtract(2.0 * v[:, None, :], t, out=t)
     t *= x
     radicand = kyy[:, None, None] - np.matmul(t, onehot)
-    # the rounding in that sum grows with the magnitude of its terms
-    abs_x = np.abs(x, out=t)
-    terms = np.matmul(abs_x, np.abs(G_own, out=G_own))
-    terms += 2.0 * np.abs(v[:, None, :])
-    terms *= abs_x
-    size = np.abs(kyy)[:, None, None] + np.matmul(terms, onehot)
-    floor = RADICAND_FLOOR * np.maximum(kyy, 1.0)[:, None, None] - (k + 2) * np.finfo(float).eps * size
-    bad = np.argwhere(radicand < floor)
-    if bad.size:
-        i, _, c = bad[0]
-        raise NumericalError(
-            f"negative residual radicand {radicand[tuple(bad[0])]:.3e} for class {c + 1}",
-            sample=int(i),
-        )
+    floor = RADICAND_FLOOR * np.maximum(kyy, 1.0)[:, None, None]
+    # the floor less the rounding lies below the floor itself: only a radicand
+    # below the floor needs the rounding's magnitude, which grows with its terms
+    if check and (radicand < floor).any():
+        abs_x = np.abs(x, out=t)
+        terms = np.matmul(abs_x, np.abs(G_own, out=G_own))
+        terms += 2.0 * np.abs(v[:, None, :])
+        terms *= abs_x
+        size = np.abs(kyy)[:, None, None] + np.matmul(terms, onehot)
+        bad = np.argwhere(radicand < floor - (k + 2) * np.finfo(float).eps * size)
+        if bad.size:
+            i, _, c = bad[0]
+            raise NumericalError(
+                f"negative residual radicand {radicand[tuple(bad[0])]:.3e} for class {c + 1}",
+                sample=int(i),
+            )
     return np.sqrt(np.maximum(radicand, 0.0))
 
 
@@ -618,27 +691,40 @@ def pca_first_component(cube: np.ndarray) -> np.ndarray:
     def pixels(sl: slice) -> np.ndarray:
         return np.asarray(cube[sl].reshape(-1, b), dtype=np.float64)
 
-    total, lo, hi = np.zeros(b), np.full(b, np.inf), np.full(b, -np.inf)
-    for sl in blocks:
+    def ranges(sl: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         X = pixels(sl)
-        total += X.sum(axis=0)
-        lo, hi = np.minimum(lo, X.min(axis=0)), np.maximum(hi, X.max(axis=0))
+        return X.sum(axis=0), X.min(axis=0), X.max(axis=0)
+
+    # each pass's block partials come from map_ordered and are added in block
+    # order, so the sums are the inline loop's to the bit
+    total, lo, hi = np.zeros(b), np.full(b, np.inf), np.full(b, -np.inf)
+    for part, low, high in map_ordered(ranges, blocks):
+        total += part
+        lo, hi = np.minimum(lo, low), np.maximum(hi, high)
     if np.array_equal(lo, hi):
         # the centered cube is exactly zero, but a rounded mean would leave
         # noise that min_max stretches to [0, 1]
         return np.zeros((h, w))
     mean = total / (h * w)
-    cov = np.zeros((b, b))
-    for sl in blocks:
+
+    def scatter(sl: slice) -> np.ndarray:
         Xc = pixels(sl) - mean
-        cov += Xc.T @ Xc
+        return Xc.T @ Xc
+
+    cov = np.zeros((b, b))
+    for part in map_ordered(scatter, blocks):
+        cov += part
     _, vecs = np.linalg.eigh(cov / max(h * w - 1, 1))
     score = np.empty((h, w))
-    sign = 0.0
-    for sl in blocks:
+
+    def project(sl: slice) -> float:
         Xc = pixels(sl) - mean
         score[sl] = (Xc @ vecs[:, -1]).reshape(-1, w)
-        sign += float(score[sl].ravel() @ Xc.mean(axis=1))
+        return float(score[sl].ravel() @ Xc.mean(axis=1))
+
+    sign = 0.0
+    for part in map_ordered(project, blocks):
+        sign += part
     return min_max(-score if sign < 0 else score)
 
 

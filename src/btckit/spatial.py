@@ -19,7 +19,7 @@ from btckit.btc import BtcParams, btc_classify, btc_residuals  # noqa: F401
 from btckit.data import Dictionary
 from btckit.errors import BtckitError, ConfigError, NumericalError
 from btckit.kbtc import KbtcParams, kbtc_residuals
-from btckit.linalg import min_max, pca_first_component
+from btckit.linalg import min_max, one_blas_thread, pca_first_component
 
 # SciPy is imported by the smoothing that uses it, so the commands and the
 # unsmoothed pipeline run on NumPy alone
@@ -112,7 +112,8 @@ def wls_smooth(
     ``image`` is H x W or an H x W x C stack of layers. L_g is the 4-neighbor
     graph Laplacian with weights (|grad g|^alpha_wls + WLS_EPS)^-1 on
     guidance gradients, Neumann boundaries. The system is factored once by
-    sparse LU and every layer is solved exactly against that factor.
+    sparse LU and every layer is solved exactly against that factor, with
+    every bundled OpenBLAS held at one thread (:func:`one_blas_thread`).
     """
     image = np.asarray(image, dtype=np.float64)
     guidance = np.asarray(guidance, dtype=np.float64)
@@ -129,13 +130,16 @@ def wls_smooth(
     system = scipy.sparse.identity(h * w, format="csr") + params.lam * _guidance_laplacian(
         guidance, params
     )
-    try:
-        # the system is symmetric: a symmetric fill-reducing ordering halves the LU fill
-        factor = scipy.sparse.linalg.splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # lambda * weights so large the identity term is lost
-        raise NumericalError(f"WLS system is singular: {exc}") from None
     rhs = image.reshape(h * w, -1)
-    out = factor.solve(rhs)
+    # SciPy's own OpenBLAS, loaded by that import, runs SuperLU's BLAS on one
+    # thread: its idle threads would spin on after the solve
+    with one_blas_thread():
+        try:
+            # the system is symmetric: a symmetric fill-reducing ordering halves the LU fill
+            factor = scipy.sparse.linalg.splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # lambda * weights so large the identity term is lost
+            raise NumericalError(f"WLS system is singular: {exc}") from None
+        out = factor.solve(rhs)
     # 1'(I + lambda L_g) = 1', so every layer keeps its sum; a drift means the
     # identity term was lost to rounding next to lambda * L_g
     drift = np.abs(out.sum(axis=0) - rhs.sum(axis=0))

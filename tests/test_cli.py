@@ -365,6 +365,8 @@ class TestNonFiniteCells:
             (["classify", "--m", "6"], "train", "non-finite column norm at sample index 3"),
             (["classify", "--m", "6"], "test", "sample 3: non-finite test vector norm"),
             (["ensemble", "--m", "3", "--b", "6"], "test", "sample 3: non-finite test vector norm"),
+            # range-scaled, the row stays finite; its squared norm does not
+            (["classify", "--m", "6", "--classifier", "kbtc"], "test", "sample 3: non-finite squared test vector norm"),
         ],
     )
     def test_value_too_large_to_square_exit_code_names_the_sample(
@@ -381,7 +383,9 @@ class TestNonFiniteCells:
         args = command + ["--train", tr_x, "--train-labels", tr_y, "--output-dir", str(tmp_path / "out")]
         if command[0] in ("classify", "ensemble"):
             args += ["--test", te_x, "--test-labels", te_y]
-        assert main(args) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any overflow warning
+            assert main(args) == 3
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -527,6 +531,17 @@ class TestHsiCommand:
         save_hsi_cube(cube, args[2], args[4], dtype="f64")
         assert main(args + ["--output-dir", str(tmp_path / "hsi")]) == code
         assert f"pixel ({r},{c}): {message}" in capsys.readouterr().err
+
+    def test_kbtc_test_pixel_outside_training_range_exit_code_names_the_pixel(self, tmp_path, capsys):
+        args, _, mask = _hsi_files(tmp_path)
+        cube = load_hsi_cube(args[2], args[4])
+        (r0, c0), (r1, c1) = np.argwhere(mask == 0)[[5, 9]]
+        cube[r0, c0], cube[r1, c1] = 1e308, -1e308  # scaled they stay finite; squared they do not
+        save_hsi_cube(cube, args[2], args[4], dtype="f64")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any overflow warning
+            assert main(args + ["--classifier", "kbtc", "--output-dir", str(tmp_path / "hsi")]) == 3
+        assert f"pixel ({r0},{c0}): non-finite squared test vector norm" in capsys.readouterr().err
 
     def test_kbtc_feature_range_too_wide_exit_code_names_the_feature(self, tmp_path, capsys):
         args, _, mask = _hsi_files(tmp_path)

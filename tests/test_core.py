@@ -32,6 +32,7 @@ from btckit import linalg
 from btckit.linalg import beta_profile, gram_residuals, top_m_rows
 from btckit.data import NORM_L2, NORM_RANGE
 from btckit.errors import ConfigError, NumericalError
+from tests.conftest import make_train_mask
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -373,21 +374,9 @@ class TestNumericalPolicy:
     def test_near_duplicate_atoms_at_tiny_alpha(self):
         # pairs of atoms 1.4e-5 apart, alpha 1e-10 and samples in their span:
         # codes reach about 1/(2 sqrt(alpha)), where the Gram form cancels
-        rng = default_rng(1)
-        b, alpha = 40, 1e-10
-        atoms, pairs = [], []
-        for _ in range(10):
-            a = rng.normal(size=b)
-            a /= np.linalg.norm(a)
-            u = rng.normal(size=b)
-            u -= (u @ a) * a
-            u /= np.linalg.norm(u)
-            atoms += [a, a + 1.4e-5 * u]
-            pairs.append((a, u))
-        d = build_dictionary(np.array(atoms), np.repeat([1, 2], 10), NORM_L2)
+        alpha = 1e-10
+        d, Y = _near_duplicate_problem()
         A, labels = d.columns, d.labels
-        Y = np.array([sum(rng.normal() * a + rng.normal() * u for a, u in pairs[k:k + 5]) for k in (0, 5) * 10])
-        Y /= np.linalg.norm(Y, axis=1)[:, None]
         residuals = btc_residuals(d, Y, BtcParams(m=10, alpha=alpha))
         gram = A.T @ A
         for y, got in zip(Y, residuals):
@@ -411,6 +400,15 @@ class TestNumericalPolicy:
                 np.array([[0]]), 0.01,
             )
 
+    def test_forged_negative_radicand_with_features_takes_the_feature_form(self):
+        # the same forged values with BTC's features: the row is recomputed from them, and nothing raises
+        atoms, y = np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])
+        got, x = gram_residuals(
+            np.array([[[1.0]]]), np.array([1]), 2, np.array([[10.0]]), np.array([1.0]),
+            np.array([[0]]), 0.01, features=(atoms, y),
+        )
+        np.testing.assert_allclose(got, [[abs(1.0 - x[0, 0]), 1.0]], rtol=0, atol=1e-15)
+
     def test_radicand_floor_is_relative_to_self_kernel(self):
         def residuals(kyy):
             empty = np.empty((1, 0), dtype=np.int64)
@@ -420,6 +418,24 @@ class TestNumericalPolicy:
         np.testing.assert_array_equal(residuals(-0.5e-10), 0.0)  # rounding: clamped
         with pytest.raises(NumericalError, match="negative residual radicand"):
             residuals(-2e-10)
+
+
+def _near_duplicate_problem():
+    """Ten pairs of unit atoms 1.4e-5 apart, split over two classes, and 20 unit rows in their span."""
+    rng = default_rng(1)
+    b = 40
+    atoms, pairs = [], []
+    for _ in range(10):
+        a = rng.normal(size=b)
+        a /= np.linalg.norm(a)
+        u = rng.normal(size=b)
+        u -= (u @ a) * a
+        u /= np.linalg.norm(u)
+        atoms += [a, a + 1.4e-5 * u]
+        pairs.append((a, u))
+    d = build_dictionary(np.array(atoms), np.repeat([1, 2], 10), NORM_L2)
+    Y = np.array([sum(rng.normal() * a + rng.normal() * u for a, u in pairs[k:k + 5]) for k in (0, 5) * 10])
+    return d, Y / np.linalg.norm(Y, axis=1)[:, None]
 
 
 def _beta_reference(gram, labels, ms, alpha, features=None):
@@ -563,3 +579,82 @@ class TestFeatureResiduals:
                     assert got[i, c] == pytest.approx(direct, rel=0, abs=1e-12)
                 else:
                     assert got[i, c] == np.sqrt(kyy[i])
+
+
+def _bench_shaped_scene():
+    """A 145 x 145 x 200 cube of 16 blocky classes and 50 training pixels per class, as the benchmark's."""
+    h = w = 145
+    gt = (np.arange(h)[:, None] * 4 // h) * 4 + np.arange(w)[None, :] * 4 // w + 1
+    signatures = default_rng(42).uniform(0.2, 1.0, (16, 200))
+    cube = signatures[gt - 1] + default_rng(11).normal(0.0, 0.25, (h, w, 200))
+    mask = make_train_mask(gt, 50, seed=12)
+    dictionary = build_dictionary(cube[mask > 0], mask[mask > 0], NORM_L2)
+    return dictionary, cube.reshape(h * w, 200)
+
+
+@pytest.fixture(scope="module")
+def bench_scene():
+    return _bench_shaped_scene()
+
+
+def _feature_oracle(d, Y, m, alpha):
+    """BTC's residuals in the feature form alone, ||y - A_j x_j|| for every row and class.
+
+    The codes are solved as the core solves them, on blocks of A'A, in the
+    core's chunks of rows.
+    """
+    A, gram = d.columns, d.columns.T @ d.columns
+    out = np.empty((len(Y), d.n_classes))
+    for sl in linalg.chunks(len(Y), d.n_samples + m * m):
+        rows = Y[sl] / np.linalg.norm(Y[sl], axis=1)[:, None]
+        V = rows @ A
+        support = top_m_rows(V, m)
+        x = linalg.solve_spd_regularized(
+            gram[support[:, :, None], support[:, None, :]], np.take_along_axis(V, support, axis=1), alpha
+        )
+        labels = d.labels[support] - 1
+        out[sl] = linalg._feature_residuals(A.T, rows, support, x, labels, d.n_classes, np.ones(len(rows)))
+    return out
+
+
+def _feature_rows(monkeypatch):
+    """The rows that go to the feature form, as each call's count, recorded from now on."""
+    counts, real = [], linalg._feature_residuals
+
+    def counting(atoms, Y, *args):
+        counts.append(len(Y))
+        return real(atoms, Y, *args)
+
+    monkeypatch.setattr(linalg, "_feature_residuals", counting)
+    return counts
+
+
+class TestGramResiduals:
+    @pytest.mark.parametrize("alpha", [1e-10, 0.01])
+    def test_bench_shaped_cube_within_tolerance_of_feature_form(self, bench_scene, alpha):
+        d, Y = bench_scene
+        got = btc_residuals(d, Y, BtcParams(m=10, alpha=alpha))
+        np.testing.assert_allclose(got, _feature_oracle(d, Y, 10, alpha), rtol=0, atol=linalg.RESIDUAL_TOL)
+
+    @pytest.mark.parametrize("alpha", [1e-10, 0.01])
+    def test_near_duplicate_atoms_within_tolerance_of_feature_form(self, alpha):
+        d, Y = _near_duplicate_problem()
+        got = btc_residuals(d, Y, BtcParams(m=10, alpha=alpha))
+        np.testing.assert_allclose(got, _feature_oracle(d, Y, 10, alpha), rtol=0, atol=linalg.RESIDUAL_TOL)
+
+    def test_feature_form_takes_exactly_the_training_pixels_at_tiny_alpha(self, bench_scene, monkeypatch):
+        d, Y = bench_scene
+        counts = _feature_rows(monkeypatch)
+        btc_residuals(d, Y, BtcParams(m=10, alpha=1e-10))
+        # a training pixel is its own atom: its own class's radicand is rounding alone
+        assert sum(counts) == d.n_samples == 800
+        counts.clear()
+        btc_residuals(d, Y, BtcParams(m=10, alpha=0.01))
+        assert sum(counts) == 0
+
+    def test_feature_rows_are_the_unresolved_ones(self, monkeypatch):
+        d, Y = _near_duplicate_problem()
+        counts = _feature_rows(monkeypatch)
+        # codes near 3e4 leave every row's radicands unresolved at alpha 1e-10
+        btc_residuals(d, Y, BtcParams(m=10, alpha=1e-10))
+        assert sum(counts) == len(Y)

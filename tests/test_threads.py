@@ -27,8 +27,9 @@ from btckit import (
 )
 from btckit.cli import main
 from btckit.data import NORM_L2, NORM_RANGE
-from btckit.errors import DataFormatError
-from btckit.linalg import beta_profile, map_chunks
+from btckit.errors import DataFormatError, NumericalError
+from btckit.linalg import beta_profile, map_chunks, map_ordered, pca_first_component
+from btckit.spatial import WlsParams, wls_smooth
 
 
 class _RecordingPool:
@@ -183,7 +184,6 @@ class TestParallelChunkRules:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(counts, 1)
 
-
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_starts_its_own_helpers(self, monkeypatch):
         monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
@@ -209,10 +209,63 @@ class TestParallelChunkRules:
         np.testing.assert_array_equal(counts, 1)
 
 
+class TestOrderedChunks:
+    def test_pca_first_component(self, workers, helpers, tiny_chunks):
+        cube = default_rng(5).normal(size=(9, 7, 6)).astype(np.float32)  # 9 row blocks
+        inline, parallel = _inline_and_parallel(workers, helpers, lambda: pca_first_component(cube))
+        np.testing.assert_array_equal(parallel, inline)
+
+    def test_results_come_in_order_one_wave_at_a_time(self, workers, helpers):
+        workers(2)
+        started, seen = [], []
+
+        def start(sl):
+            started.append(sl.start)
+            return sl.start
+
+        for value in map_ordered(start, [slice(i, i + 1) for i in range(7)]):
+            # the wave holding slice i has started, and no later one
+            assert len(started) == min(7, (value // 2 + 1) * 2)
+            seen.append(value)
+        assert seen == list(range(7))
+        assert helpers
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_raising_block_surfaces_its_error(self, workers, helpers, n):
+        workers(n)
+
+        def fail_at_3(sl):
+            if sl.start == 3:
+                raise NumericalError("bad block")
+            return sl.start
+
+        outcome = {}
+
+        def consume():
+            try:
+                outcome["values"] = list(map_ordered(fail_at_3, [slice(i, i + 1) for i in range(6)]))
+            except NumericalError as exc:
+                outcome["error"] = str(exc)
+
+        thread = threading.Thread(target=consume, daemon=True)
+        thread.start()
+        thread.join(30)
+        assert not thread.is_alive()
+        assert outcome == {"error": "bad block"}
+
+
 def _bundled_openblas():
     threads = linalg._openblas()
     if threads is None:
         pytest.skip("NumPy's bundled OpenBLAS (numpy.libs/libscipy_openblas64_) is not loaded")
+    return threads
+
+
+def _scipy_bundled_openblas():
+    pytest.importorskip("scipy.sparse.linalg")  # loads SciPy's library, if it bundles one
+    threads = linalg._scipy_openblas()
+    if threads is None:
+        pytest.skip("SciPy's bundled OpenBLAS (scipy.libs/libscipy_openblas) is not loaded")
     return threads
 
 
@@ -245,6 +298,54 @@ class TestBlasPin:
             put(before)
         assert inside == ([1] if flags[0] == "synth-recovery" and code != 2 else [])
 
+    def test_scipy_count_is_one_inside_a_command_once_loaded(self, tmp_path, monkeypatch):
+        get, put = _scipy_bundled_openblas()
+        inside, real = [], cli.recover_sparse
+
+        def recording(*args):
+            inside.append(get())
+            return real(*args)
+
+        monkeypatch.setattr(cli, "recover_sparse", recording)
+        before = get()
+        put(3)
+        try:
+            flags = ["synth-recovery", "--n", "32", "--b", "16", "--k", "2", "--m", "8"]
+            assert main(flags + ["--output-dir", str(tmp_path)]) == 0
+            assert get() == 3
+        finally:
+            put(before)
+        assert inside == [1]
+
+    def test_scipy_count_is_one_inside_wls_factor_and_solve_and_restored_after(self, monkeypatch):
+        get, put = _scipy_bundled_openblas()
+        import scipy.sparse.linalg
+
+        inside, real = [], scipy.sparse.linalg.splu
+
+        class Factor:
+            def __init__(self, factor):
+                self.factor = factor
+
+            def solve(self, rhs):
+                inside.append(("solve", get()))
+                return self.factor.solve(rhs)
+
+        def splu(*args, **kwargs):
+            inside.append(("factor", get()))
+            return Factor(real(*args, **kwargs))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+        rng = default_rng(6)
+        before = get()
+        put(2)
+        try:
+            wls_smooth(rng.uniform(size=(12, 9, 3)), rng.uniform(size=(12, 9)), WlsParams())
+            assert get() == 2
+        finally:
+            put(before)
+        assert inside == [("factor", 1), ("solve", 1)]
+
     def test_without_openblas_commands_run_inline(self, tmp_path, monkeypatch, helpers, tiny_chunks):
         monkeypatch.setattr(linalg, "_openblas", lambda: None)
         monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
@@ -257,9 +358,16 @@ class TestBlasPin:
         assert not helpers
 
     def test_import_looks_up_no_library(self):
-        # NumPy imports ctypes itself, so the library lookup is what an import must not run
-        code = "import btckit.cli, btckit.linalg as l; print(l._openblas.cache_info().currsize)"
+        # NumPy imports ctypes itself, so the library lookup is what an import must not run:
+        # no cached NumPy answer, no search for any OpenBLAS file, and no SciPy to look in
+        code = (
+            "import glob, sys\n"
+            "seen, real = [], glob.glob\n"
+            "glob.glob = lambda pattern, *a, **k: seen.append(pattern) or real(pattern, *a, **k)\n"
+            "import btckit.cli, btckit.linalg as l\n"
+            "print(l._openblas.cache_info().currsize, sum('openblas' in p for p in seen), 'scipy' in sys.modules)\n"
+        )
         src = os.path.dirname(os.path.dirname(os.path.abspath(btckit.__file__)))
         out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True, timeout=60, check=True)
-        assert out.stdout.strip() == "0"
+        assert out.stdout.split() == ["0", "0", "False"]
