@@ -112,11 +112,30 @@ def _int_in(lo: int, hi: int, odd: bool = False) -> Callable[[str], int]:
     return parse
 
 
+def _float_in(lo: float, hi: float, closed: bool = False) -> Callable[[str], float]:
+    """The argparse type of a float flag in the open interval (lo, hi), or in [lo, hi) if ``closed``."""
+    interval = f"{'[' if closed else '('}{lo:g}, {hi:g})"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (lo < value < hi or (closed and value == lo)):
+            raise argparse.ArgumentTypeError(f"must be a number in {interval}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and the subcommand parsers by name."""
     parser = _Parser(prog="btckit", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command")
     count, size = _int_in(1, INT64_MAX), _int_in(1, MAX_RECOVERY_CELLS)
+    # the library's ranges: the classifiers' regularization weight, and finite values above or from 0
+    weight, positive = _float_in(0, 1), _float_in(0, math.inf)
+    non_negative = _float_in(0, math.inf, closed=True)
     train, test = ("--train", "--train-labels"), ("--test", "--test-labels")
 
     def command(name, help, func, *required):
@@ -132,17 +151,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = command("classify", "dense dataset classification with BTC or KBTC", _cmd_classify, *train, *test)
     p.add_argument("--classifier", choices=["btc", "kbtc"], default="btc")
     p.add_argument("--m", type=count, required=True)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--gamma", type=float, default=1.0, help="RBF width (kbtc only)")
+    p.add_argument("--alpha", type=weight, default=0.01)
+    p.add_argument("--gamma", type=positive, default=1.0, help="RBF width (kbtc only)")
 
     p = command("estimate-btc", "threshold estimation from the dictionary", _cmd_estimate_btc, *train)
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--alpha", type=weight, default=0.01)
     # the M range is checked by its ends against the dictionary
     p.add_argument("--m-min", type=_int_in(-INT64_MAX, INT64_MAX), default=2)
     p.add_argument("--m-max", type=_int_in(-INT64_MAX, INT64_MAX), default=0, help="default B-1")
 
     p = command("estimate-kbtc", "two-stage gamma and threshold estimation", _cmd_estimate_kbtc, *train)
-    p.add_argument("--alpha", type=float, default=1e-9)
+    p.add_argument("--alpha", type=weight, default=1e-9)
     p.add_argument("--gamma-grid", default="2^-10..2^1",
                    help=f"b^lo..b^hi range or comma list, at most {MAX_GAMMA_POINTS} points")
 
@@ -153,19 +172,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--train-mask", required=True, help="training mask label map CSV")
     p.add_argument("--classifier", choices=["btc", "kbtc"], default="btc")
     p.add_argument("--m", type=count, required=True)
-    p.add_argument("--alpha", type=float, default=1e-10)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--alpha", type=weight, default=1e-10)
+    p.add_argument("--gamma", type=positive, default=1.0)
     p.add_argument("--smoothing", choices=["none", "box", "wls"], default="wls")
     p.add_argument("--window", type=_int_in(1, MAX_WINDOW, odd=True), default=5)
-    p.add_argument("--wls-lambda", type=float, default=0.4)
-    p.add_argument("--wls-alpha", type=float, default=0.9)
+    p.add_argument("--wls-lambda", type=non_negative, default=0.4)
+    p.add_argument("--wls-alpha", type=positive, default=0.9)
 
     p = command("ensemble", "BTC-n with very sparse random projections", _cmd_ensemble, *train, *test)
     p.add_argument("--n", type=_int_in(1, MAX_MEMBERS), default=5)
     p.add_argument("--b", type=count, required=True, help="projected dimension")
     p.add_argument("--s", type=count, default=3, help="projection sparsity")
     p.add_argument("--m", type=count, required=True)
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--alpha", type=weight, default=0.01)
 
     p = command("roc", "ROC sweep over rejection margins", _cmd_roc)
     p.add_argument("--valid-margins", required=True, help="one margin per line")
@@ -178,7 +197,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--k", type=size, default=15, help="nonzeros, at most N")
     # the M x M Gram of the support holds at most MAX_RECOVERY_CELLS entries
     p.add_argument("--m", type=_int_in(1, math.isqrt(MAX_RECOVERY_CELLS)), default=120)
-    p.add_argument("--alpha", type=float, default=1e-4)
+    p.add_argument("--alpha", type=non_negative, default=1e-4)
 
     command("coherence", "mutual coherence of a dictionary", _cmd_coherence, *train)
     return parser, sub.choices
@@ -188,7 +207,8 @@ def _with_config_tokens(argv: list[str], commands: dict[str, argparse.ArgumentPa
     """``argv`` with each ``key=value`` line of its ``--config`` file as a ``--key=value`` token.
 
     The tokens go right after the subcommand, so the parser checks them as it
-    checks flags, and a flag given explicitly, coming later, overrides them.
+    checks flags, and a flag given explicitly, coming later, overrides them. A
+    key that is not one of the subcommand's flags is refused, naming the file.
     """
     if not argv or argv[0] not in commands:
         return argv
@@ -197,10 +217,12 @@ def _with_config_tokens(argv: list[str], commands: dict[str, argparse.ArgumentPa
     path = pre.parse_known_args(argv[1:])[0].config
     if not path:
         return argv
-    tokens = []
+    tokens, flags = [], commands[argv[0]]._option_string_actions
     for key, value in _read_key_values(path, ConfigError):
         if key == "config":
             raise ConfigError(f"{path}: a config file cannot name another")
+        if f"--{key}" not in flags:
+            raise ConfigError(f"{path}: unknown key {key!r}")
         tokens.append(f"--{key}={value}")
     return [argv[0], *tokens, *argv[1:]]
 

@@ -337,18 +337,21 @@ def load_label_map(path: str) -> np.ndarray:
 
 
 def save_label_map(labels: np.ndarray, path: str) -> None:
+    """Write an (H, W) label map as CSV, one image row per line, each distinct label formatted once."""
+    ids, cells = np.unique(labels.astype(np.int64, copy=False), return_inverse=True)
+    text = np.array([str(i) for i in ids.tolist()], dtype=object)[cells.reshape(labels.shape)]
     with open(path, "w", encoding="utf-8") as fh:
-        rows = labels.astype(np.int64, copy=False).tolist()
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        fh.writelines(",".join(row) + "\n" for row in text.tolist())
 
 
 def save_label_map_pgm(labels: np.ndarray, path: str, mapping_path: str) -> None:
     """Write an (H, W) class map as plain PGM (P2) plus a class-to-gray mapping file."""
     n = int(labels.max())
     grays = np.array([0] + [int(round(255 * cid / max(n, 1))) for cid in range(1, n + 1)])
+    text = np.array([str(g) for g in grays.tolist()], dtype=object)[labels]  # each gray formatted once
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"P2\n{labels.shape[1]} {labels.shape[0]}\n255\n")
-        fh.writelines(" ".join(map(str, row)) + "\n" for row in grays[labels].tolist())
+        fh.writelines(" ".join(row) + "\n" for row in text.tolist())
     with open(mapping_path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{cid}={g}\n" for cid, g in enumerate(grays.tolist()))
 

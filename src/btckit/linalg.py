@@ -3,9 +3,9 @@
 The batch-first Gram-space core every classifier runs on (the linear and
 RBF kernels, top-M selection with ascending-index ties, stacked regularized
 SPD solves, per-class residuals in Gram arithmetic or from explicit
-features, identification ratios), the parallel chunk loop and the BLAS
-thread pin it runs under, the first principal component for guidance
-images, and mutual coherence.
+features, identification ratios), the parallel chunk loop, a task run
+beside it, and the BLAS thread pin they run under, the first principal
+component for guidance images, and mutual coherence.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ from typing import TYPE_CHECKING, TypeVar
 import numpy as np
 
 from btckit.data import Dictionary, NORM_L2
-from btckit.errors import BtckitError, ConfigError, NumericalError
+from btckit.errors import BtckitError, ConfigError, DataFormatError, NumericalError
 
 # concurrent.futures is imported by the first parallel chunk loop, so importing btckit does not load it
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
-T = TypeVar("T")
+T, U = TypeVar("T"), TypeVar("U")
 
 # Batches reach the core in chunks of about this many bytes of float64 work
 # (S x N kernel values, S x M x M systems): memory stays bounded for any
@@ -67,10 +67,10 @@ class KernelSpec:
 
 
 def chunks(n_items: int, floats_per_item: int) -> Iterator[slice]:
-    """Consecutive slices of range(n_items), each holding about CHUNK_BYTES of work."""
+    """Consecutive slices of range(n_items), as few as hold about CHUNK_BYTES of work each, sized within 1."""
     step = max(1, CHUNK_BYTES // (8 * max(floats_per_item, 1)))
-    for lo in range(0, n_items, step):
-        yield slice(lo, min(lo + step, n_items))
+    count = -(-n_items // step)
+    return (slice(i * n_items // count, (i + 1) * n_items // count) for i in range(count))
 
 
 # marks a thread while it runs chunks of map_chunks, so a nested call runs inline
@@ -125,19 +125,25 @@ def map_chunks(fn: Callable[[slice], None], slices: Iterable[slice]) -> None:
         raise errors[min(errors)]
 
 
-def map_ordered(fn: Callable[[slice], T], slices: Iterable[slice]) -> Iterator[T]:
-    """Yield ``fn(sl)`` for every slice, in order, computed W at a time by :func:`map_chunks`.
+def beside(main: Callable[[], T], side: Callable[[], U]) -> tuple[T, U]:
+    """``(main(), side())``, ``side`` on a kept helper thread, marked as a chunk's is, while ``main``
+    runs here; both run here, ``main`` first, if W (:func:`_workers`) is below 2. A helper task that
+    a chunk loop of ``main`` queues behind ``side`` joins that loop once ``side`` ends. An error of
+    ``main`` is raised once ``side`` has ended; one of ``side`` only after a clean ``main``."""
+    if _workers(2) < 2:
+        return main(), side()
 
-    A caller that adds the results up as they come gets the inline loop's
-    sum to the bit, and holds at most one wave of W results at once. An
-    error is raised as :func:`map_chunks` raises it.
-    """
-    slices = list(slices)
-    width = _workers(len(slices))
-    for lo in range(0, len(slices), width):
-        wave, done = slices[lo : lo + width], {}
-        map_chunks(lambda sl: done.__setitem__(sl.start, fn(sl)), wave)
-        yield from (done.pop(sl.start) for sl in wave)
+    def marked() -> U:
+        # for good: a helper thread runs only chunks and side tasks, whose chunk loops run inline
+        _chunk_thread.busy = True
+        return side()
+
+    task = _helpers().submit(marked)
+    try:
+        first = main()
+    finally:
+        task.exception()  # waits for side, raising nothing: an error of main wins
+    return first, task.result()
 
 
 def _workers(n_slices: int) -> int:
@@ -674,57 +680,44 @@ def beta_profile(
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # values too large are refused below, unwarned
 def pca_first_component(cube: np.ndarray) -> np.ndarray:
     """First principal component image of an H x W x B cube, min-max normalized to [0, 1].
 
     The component is the top eigenvector of the band covariance
     (``np.linalg.eigh``); its sign is fixed so the component correlates
     non-negatively with the band-mean image. A cube whose every band is
-    constant gives zeros. The cube is read in blocks of image rows from
+    constant gives zeros; one whose band scatter overflows raises
+    DataFormatError. The cube is read in blocks of image rows from
     :func:`chunks`, each widened to float64 as it is read, so no centered
     or widened copy of the whole cube is formed and the work memory stays
     bounded.
     """
     h, w, b = cube.shape
     blocks = list(chunks(h, w * b))
-
-    def pixels(sl: slice) -> np.ndarray:
-        return np.asarray(cube[sl].reshape(-1, b), dtype=np.float64)
-
-    def ranges(sl: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        X = pixels(sl)
-        return X.sum(axis=0), X.min(axis=0), X.max(axis=0)
-
-    # each pass's block partials come from map_ordered and are added in block
-    # order, so the sums are the inline loop's to the bit
     total, lo, hi = np.zeros(b), np.full(b, np.inf), np.full(b, -np.inf)
-    for part, low, high in map_ordered(ranges, blocks):
-        total += part
-        lo, hi = np.minimum(lo, low), np.maximum(hi, high)
+    for sl in blocks:
+        X = cube[sl].reshape(-1, b).astype(np.float64, copy=False)
+        total += X.sum(axis=0)
+        lo, hi = np.minimum(lo, X.min(axis=0)), np.maximum(hi, X.max(axis=0))
     if np.array_equal(lo, hi):
         # the centered cube is exactly zero, but a rounded mean would leave
         # noise that min_max stretches to [0, 1]
         return np.zeros((h, w))
     mean = total / (h * w)
-
-    def scatter(sl: slice) -> np.ndarray:
-        Xc = pixels(sl) - mean
-        return Xc.T @ Xc
-
     cov = np.zeros((b, b))
-    for part in map_ordered(scatter, blocks):
-        cov += part
+    for sl in blocks:
+        Xc = cube[sl].reshape(-1, b) - mean
+        cov += Xc.T @ Xc
+    if not np.isfinite(cov).all():
+        raise DataFormatError("cube values too large: the guidance image's band covariance is not finite")
     _, vecs = np.linalg.eigh(cov / max(h * w - 1, 1))
     score = np.empty((h, w))
-
-    def project(sl: slice) -> float:
-        Xc = pixels(sl) - mean
-        score[sl] = (Xc @ vecs[:, -1]).reshape(-1, w)
-        return float(score[sl].ravel() @ Xc.mean(axis=1))
-
     sign = 0.0
-    for part in map_ordered(project, blocks):
-        sign += part
+    for sl in blocks:
+        Xc = cube[sl].reshape(-1, b) - mean
+        score[sl] = (Xc @ vecs[:, -1]).reshape(-1, w)
+        sign += float(score[sl].ravel() @ Xc.mean(axis=1))
     return min_max(-score if sign < 0 else score)
 
 

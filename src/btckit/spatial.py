@@ -10,6 +10,7 @@ the smoothed residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -19,7 +20,7 @@ from btckit.btc import BtcParams, btc_classify, btc_residuals  # noqa: F401
 from btckit.data import Dictionary
 from btckit.errors import BtckitError, ConfigError, NumericalError
 from btckit.kbtc import KbtcParams, kbtc_residuals
-from btckit.linalg import min_max, one_blas_thread, pca_first_component
+from btckit.linalg import beside, min_max, one_blas_thread, pca_first_component
 
 # SciPy is imported by the smoothing that uses it, so the commands and the
 # unsmoothed pipeline run on NumPy alone
@@ -197,14 +198,18 @@ def classify_pixels(
 
     Returns the residual cube masked by the pixel-wise class map, that (H, W)
     map, and, when ``smoothing`` is "wls", the guidance image (the first
-    principal component of the cube; None otherwise). Nothing returned
+    principal component of the cube; None otherwise), computed on a helper
+    thread while the residual cube is built (:func:`beside`); an error of
+    the residual cube wins over one of the guidance. Nothing returned
     refers to the cube, so a caller that drops its own references frees the
     cube before :func:`smooth_and_decide` runs.
     """
-    residuals, pixelwise = build_residual_cube(cube, dictionary, params)
-    residuals = mask_by_classmap(residuals, pixelwise)
-    guidance = pca_first_component(cube) if smoothing == "wls" else None
-    return residuals, pixelwise, guidance
+    spectral = partial(build_residual_cube, cube, dictionary, params)
+    if smoothing == "wls":
+        (residuals, pixelwise), guidance = beside(spectral, partial(pca_first_component, cube))
+    else:
+        (residuals, pixelwise), guidance = spectral(), None
+    return mask_by_classmap(residuals, pixelwise), pixelwise, guidance
 
 
 def smooth_and_decide(

@@ -234,6 +234,12 @@ class TestConfigFile:
         ("classify", "seed", "-1"),
         ("classify-hsi", "window", "4"),
         ("ensemble", "n", "1001"),
+        # float flags are refused by the parser too, before any input is read
+        ("classify", "gamma", "-1"),
+        ("ensemble", "alpha", "1"),
+        ("classify-hsi", "alpha", "nan"),
+        ("classify-hsi", "wls-lambda", "inf"),
+        ("classify-hsi", "wls-alpha", "0"),
     ])
     def test_bad_value_from_flag_or_file_exit_code(
         self, blob_files, tmp_path, capsys, command, key, value, from_config
@@ -272,7 +278,7 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "run.cfg: malformed line 1" in err and "Traceback" not in err
 
-    def test_unknown_key_rejected(self, blob_files, tmp_path):
+    def test_unknown_key_rejected(self, blob_files, tmp_path, capsys):
         (tr_x, tr_y), (te_x, te_y) = blob_files
         cfg = tmp_path / "run.cfg"
         cfg.write_text("wibble=1\n")
@@ -282,6 +288,7 @@ class TestConfigFile:
             "--m", "6", "--output-dir", str(tmp_path),
         ])
         assert rc == 2
+        assert f"config error: {cfg}: unknown key 'wibble'" in capsys.readouterr().err
 
 
 class TestEstimateCommands:
@@ -709,7 +716,7 @@ class TestOtherCommands:
         rc = main(["synth-recovery", "--n", "32", "--b", "16", "--k", "2", "--m", "8", "--alpha", alpha,
                    "--output-dir", str(tmp_path / "rec")])
         assert rc == 2
-        assert "alpha must be finite" in capsys.readouterr().err
+        assert "argument --alpha: must be a number in [0, inf), got" in capsys.readouterr().err
         assert not (tmp_path / "rec").exists()
 
     def test_synth_recovery_command(self, tmp_path, capsys):
@@ -743,7 +750,7 @@ def test_every_int_flag_has_a_bounded_type():
     # sources; every typed flag that is not a float must be such a bounded int
     _, commands = _build_parser()
     actions = [action for command in commands.values() for action in command._actions]
-    typed = [action for action in actions if action.type not in (None, float)]
+    typed = [action for action in actions if action.type is not None and type(action.default) is not float]
     assert all(action in typed for action in actions if type(action.default) is int)
     assert len(typed) == 8 + 14  # --seed on every subcommand, and the others
     for action in typed:
@@ -754,6 +761,27 @@ def test_every_int_flag_has_a_bounded_type():
             action.type("12x")
         if action.default is not None:
             assert action.type(str(action.default)) == action.default
+
+
+def test_every_float_flag_has_a_bounded_type():
+    # the library's range of each float flag, refused at parse time with nan and the infinities
+    _, commands = _build_parser()
+    ranges = {"alpha": "(0, 1)", "gamma": "(0, inf)", "wls_lambda": "[0, inf)", "wls_alpha": "(0, inf)"}
+    seen = 0
+    for name, command in commands.items():
+        for action in command._actions:
+            if type(action.default) is not float:
+                continue
+            seen += 1
+            interval = "[0, inf)" if name == "synth-recovery" else ranges[action.dest]
+            lo, hi = interval[1:-1].split(", ")
+            for bad in ("nan", "inf", "-inf", "1e999", "-1e-300", "12x", "", lo if interval[0] == "(" else "-1", hi):
+                with pytest.raises(argparse.ArgumentTypeError) as caught:
+                    action.type(bad)
+                assert str(caught.value) == f"must be a number in {interval}, got {bad!r}"
+            for good in (str(action.default), repr(action.default), "1e-300", lo if interval[0] == "[" else "0.5"):
+                assert action.type(good) == float(good)
+    assert seen == 6 + 2 + 2  # --alpha on six subcommands, --gamma on two, and the WLS pair
 
 
 # The CLI contract through main for every subcommand: small valid runs, changed by drawn values.
@@ -797,7 +825,7 @@ def _value(action):
     """Text for one flag: small or far-out ints, non-finite floats, bad files, junk."""
     if action.choices:
         good = st.sampled_from(sorted(action.choices))
-    elif action.type is float:
+    elif type(action.default) is float:
         good = st.floats().map(repr) | st.sampled_from(["nan", "inf", "-inf", "-0", "0", "1e-300"])
     elif action.type is not None:  # a bounded int: small, or far above any bound
         good = st.integers(-3, 12) | st.integers(2**40, 2**70) | st.integers(-(2**70), -(2**40))

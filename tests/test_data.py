@@ -358,6 +358,19 @@ class TestLabelMapIO:
         # no list of rows of Python ints beside the int64 result
         assert peak < 1.5 * back.nbytes
 
+    @pytest.mark.parametrize("high", [1, 17, 10**12])  # 0 and one digit, two digits, many digits
+    def test_text_is_each_row_joined(self, tmp_path, rng, high):
+        labels = rng.integers(0, high + 1, size=(13, 11))
+        labels[0, 0], labels[-1, -1] = 0, high
+        save_label_map(labels, str(tmp_path / "m.csv"))
+        lines = "".join(",".join(map(str, row)) + "\n" for row in labels.tolist())
+        assert (tmp_path / "m.csv").read_text() == lines
+        if high < 10**12:  # the PGM's gray table has one entry per id up to the largest
+            save_label_map_pgm(labels, str(tmp_path / "m.pgm"), str(tmp_path / "m.classes.txt"))
+            grays = [0] + [round(255 * cid / high) for cid in range(1, high + 1)]
+            rows = "".join(" ".join(str(grays[v]) for v in row) + "\n" for row in labels.tolist())
+            assert (tmp_path / "m.pgm").read_text() == "P2\n11 13\n255\n" + rows
+
     def test_pgm_with_mapping(self, tmp_path):
         save_label_map_pgm(np.array([[1, 2]]), str(tmp_path / "m.pgm"), str(tmp_path / "m.classes.txt"))
         text = (tmp_path / "m.pgm").read_text()

@@ -1,6 +1,7 @@
 """Numerical kernels: SPD solves, top-M selection, PCA, coherence."""
 
 import tracemalloc
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -15,7 +16,7 @@ from btckit import (
     top_m_select,
 )
 from btckit import linalg
-from btckit.errors import ConfigError
+from btckit.errors import ConfigError, DataFormatError
 from btckit.linalg import top_m_rows
 
 
@@ -127,6 +128,19 @@ class TestTopMSelectExcluding:
             top_m_rows(np.ones((1, 3)), 1, exclude=np.array([5]))
 
 
+class TestChunks:
+    @pytest.mark.parametrize("chunk_bytes, floats", [(1, 1), (64, 3), (80, 1), (800, 7), (1 << 20, 400 + 121)])
+    def test_as_many_slices_as_fixed_steps_sized_within_one(self, chunk_bytes, floats):
+        step = max(1, chunk_bytes // (8 * floats))
+        with patch.object(linalg, "CHUNK_BYTES", chunk_bytes):
+            for n in (*range(60), 399, 400, 401, 1000):
+                slices = list(linalg.chunks(n, floats))
+                assert len(slices) == -(-n // step)  # the count of fixed steps of `step` items
+                assert [i for sl in slices for i in range(n)[sl]] == list(range(n))  # in order, each once
+                sizes = [sl.stop - sl.start for sl in slices]
+                assert not sizes or (max(sizes) - min(sizes) <= 1 and max(sizes) <= step)
+
+
 class TestPcaFirstComponent:
     def test_single_band_identity(self, rng):
         values = rng.normal(size=(4, 5, 1))
@@ -197,6 +211,13 @@ class TestPcaFirstComponent:
             score = -score
         expected = ((score - score.min()) / (score.max() - score.min())).reshape(h, w)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    def test_values_too_large_raise_data_format_error_unwarned(self, rng):
+        values = rng.normal(size=(6, 5, 4)) * 1e300  # finite, but their squares are not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="band covariance is not finite"):
+                pca_first_component(values)
 
     def test_output_in_unit_interval(self, rng):
         values = rng.normal(size=(4, 4, 3)) * 100

@@ -24,19 +24,23 @@ from btckit import (
     cli,
     kbtc_residuals,
     linalg,
+    load_hsi_cube,
+    save_hsi_cube,
+    spatial,
 )
 from btckit.cli import main
 from btckit.data import NORM_L2, NORM_RANGE
 from btckit.errors import DataFormatError, NumericalError
-from btckit.linalg import beta_profile, map_chunks, map_ordered, pca_first_component
-from btckit.spatial import WlsParams, wls_smooth
+from btckit.linalg import beta_profile, map_chunks, pca_first_component
+from btckit.spatial import WlsParams, classify_pixels, wls_smooth
+from tests.test_cli import _hsi_files
 
 
 class _RecordingPool:
     """A helper pool of this test's own that records what map_chunks submits to it."""
 
-    def __init__(self):
-        self.pool = ThreadPoolExecutor(8, thread_name_prefix="test-chunks")
+    def __init__(self, threads=8):
+        self.pool = ThreadPoolExecutor(threads, thread_name_prefix="test-chunks")
         self.submitted = []
 
     def submit(self, fn):
@@ -209,49 +213,117 @@ class TestParallelChunkRules:
         np.testing.assert_array_equal(counts, 1)
 
 
-class TestOrderedChunks:
-    def test_pca_first_component(self, workers, helpers, tiny_chunks):
-        cube = default_rng(5).normal(size=(9, 7, 6)).astype(np.float32)  # 9 row blocks
-        inline, parallel = _inline_and_parallel(workers, helpers, lambda: pca_first_component(cube))
-        np.testing.assert_array_equal(parallel, inline)
+class TestGuidanceBesideCube:
+    """classify_pixels computes the WLS guidance image on a helper thread while the cube is built."""
 
-    def test_results_come_in_order_one_wave_at_a_time(self, workers, helpers):
+    def _scene(self):
+        d, params = _problem(NORM_L2)[0], BtcParams(m=4, alpha=0.01)
+        return default_rng(5).normal(size=(9, 7, 10)).astype(np.float32), d, params  # 9 row blocks
+
+    def test_guidance_equals_sequential_pca(self, workers, helpers, tiny_chunks, monkeypatch):
+        cube, d, params = self._scene()
+        real, seen = spatial.pca_first_component, []
+
+        def recording(values):
+            seen.append((threading.current_thread(), linalg._workers(5)))
+            return real(values)
+
+        monkeypatch.setattr(spatial, "pca_first_component", recording)
+        inline, parallel = _inline_and_parallel(workers, helpers, lambda: classify_pixels(cube, d, params))
+        for got, expect in zip(parallel, inline):
+            np.testing.assert_array_equal(got, expect)
+        np.testing.assert_array_equal(parallel[2], pca_first_component(cube))
+        caller = threading.current_thread()
+        # inline after the cube, then on a helper, where a chunk loop would run inline
+        assert seen[0] == (caller, 1) and seen[1][0] is not caller and seen[1][1] == 1
+
+    def test_cube_helper_queued_behind_guidance_joins_once_it_ends(self, workers, tiny_chunks, monkeypatch):
+        cube, d, params = self._scene()
+        workers(1)
+        expect = classify_pixels(cube, d, params)
+        one = _RecordingPool(threads=1)  # as on 2 CPUs: the guidance holds the only helper
+        monkeypatch.setattr(linalg, "_helpers", lambda: one)
+        real = spatial.pca_first_component
+
+        def slow(values):
+            time.sleep(0.2)
+            return real(values)
+
+        monkeypatch.setattr(spatial, "pca_first_component", slow)
         workers(2)
-        started, seen = [], []
-
-        def start(sl):
-            started.append(sl.start)
-            return sl.start
-
-        for value in map_ordered(start, [slice(i, i + 1) for i in range(7)]):
-            # the wave holding slice i has started, and no later one
-            assert len(started) == min(7, (value // 2 + 1) * 2)
-            seen.append(value)
-        assert seen == list(range(7))
-        assert helpers
+        try:
+            got = classify_pixels(cube, d, params)
+        finally:
+            one.pool.shutdown()
+        assert len(one.submitted) == 2  # the guidance, then the cube's helper
+        for g, e in zip(got, expect):
+            np.testing.assert_array_equal(g, e)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_a_raising_block_surfaces_its_error(self, workers, helpers, n):
+    def test_guidance_error_after_a_clean_cube_is_raised(self, workers, helpers, monkeypatch, n):
+        cube, d, params = self._scene()
+
+        def fail(values):
+            raise NumericalError("bad guidance")
+
+        monkeypatch.setattr(spatial, "pca_first_component", fail)
         workers(n)
+        with pytest.raises(NumericalError, match="bad guidance"):
+            classify_pixels(cube, d, params)
+        assert bool(helpers) == (n == 2)
 
-        def fail_at_3(sl):
-            if sl.start == 3:
-                raise NumericalError("bad block")
-            return sl.start
+    def test_cube_error_wins_once_the_guidance_has_ended(self, workers, helpers, monkeypatch):
+        cube, d, params = self._scene()
+        ended = []
 
-        outcome = {}
+        def late_failure(values):
+            time.sleep(0.2)
+            ended.append(True)
+            raise NumericalError("bad guidance")
 
-        def consume():
-            try:
-                outcome["values"] = list(map_ordered(fail_at_3, [slice(i, i + 1) for i in range(6)]))
-            except NumericalError as exc:
-                outcome["error"] = str(exc)
+        def cube_failure(*args):
+            raise DataFormatError("bad cube")
 
-        thread = threading.Thread(target=consume, daemon=True)
-        thread.start()
-        thread.join(30)
-        assert not thread.is_alive()
-        assert outcome == {"error": "bad block"}
+        monkeypatch.setattr(spatial, "pca_first_component", late_failure)
+        monkeypatch.setattr(spatial, "build_residual_cube", cube_failure)
+        workers(2)
+        with pytest.raises(DataFormatError, match="bad cube"):
+            classify_pixels(cube, d, params)
+        assert ended == [True]
+
+    @pytest.mark.parametrize(
+        "value, code, message", [(1e200, 3, "non-finite test vector norm"), (0.0, 2, "zero test vector")]
+    )
+    def test_bad_test_pixel_exit_code_names_the_pixel(self, tmp_path, capsys, workers, helpers, value, code, message):
+        args, _, mask = _hsi_files(tmp_path)
+        cube = load_hsi_cube(args[2], args[4])
+        r, c = np.argwhere(mask == 0)[5]
+        cube[r, c] = value
+        save_hsi_cube(cube, args[2], args[4], dtype="f64")
+        workers(2)
+        assert main(args + ["--output-dir", str(tmp_path / "hsi")]) == code
+        err = capsys.readouterr().err
+        assert f"pixel ({r},{c}): {message}" in err and "Traceback" not in err
+        assert helpers
+
+    @pytest.mark.parametrize("smoothing", ["wls", "box"])
+    def test_one_cpu_submits_no_helper_task(self, workers, helpers, tiny_chunks, smoothing):
+        cube, d, params = self._scene()
+        workers(1)
+        classify_pixels(cube, d, params, smoothing)
+        assert not helpers
+
+    def test_nested_call_runs_both_inline(self, workers, helpers):
+        workers(2)
+        seen = []
+
+        def outer(sl):
+            me = threading.current_thread()
+            seen.append(linalg.beside(threading.current_thread, threading.current_thread) == (me, me))
+
+        map_chunks(outer, [slice(0, 1), slice(1, 2)])
+        assert len(helpers) == 1  # the outer call's one helper
+        assert seen == [True, True]
 
 
 def _bundled_openblas():
