@@ -54,6 +54,7 @@ from btckit.kbtc import (
     kbtc_residual_alt,
     kbtc_residuals,
     kernel_cache,
+    residuals,
 )
 from btckit.ensemble import (
     ensemble_classify,

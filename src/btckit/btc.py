@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from btckit.linalg import (
 class BtcParams:
     """Threshold M (atom count, M < feature dim) and regularization alpha."""
 
+    # the normalization of the dictionary this classifier codes against
+    norm_mode: ClassVar[str] = NORM_L2
     m: int
     alpha: float
 
@@ -119,7 +122,7 @@ def _correlations(dictionary: Dictionary, Y: np.ndarray) -> tuple[np.ndarray, np
     The first row whose norm is zero raises ConfigError, or whose norm is
     not finite (a value too large to square) DataFormatError, naming sample i.
     """
-    if dictionary.norm_mode != NORM_L2:
+    if dictionary.norm_mode != BtcParams.norm_mode:
         raise ConfigError("BTC requires an L2-normalized dictionary")
     with np.errstate(over="ignore"):  # an overflowing norm is refused below
         norms = np.linalg.norm(Y, axis=1)

@@ -27,29 +27,20 @@ from btckit import (  # noqa: F401
     WlsParams,
     btc_classify,
     btc_estimate_threshold,
-    btc_residuals,
     build_dictionary,
     classify_pixels,
     ensemble_residuals,
     evaluate,
     kbtc_estimate_params,
-    kbtc_residuals,
     load_dense_dataset,
     load_hsi_cube,
     recover_sparse,
+    residuals,
     roc_sweep,
     smooth_and_decide,
     split_by_mask,
 )
-from btckit.data import (
-    NORM_L2,
-    NORM_RANGE,
-    _read_csv,
-    _read_key_values,
-    load_label_map,
-    save_label_map,
-    save_label_map_pgm,
-)
+from btckit.data import _read_csv, _read_key_values, load_label_map, save_label_map, save_label_map_pgm
 from btckit.errors import BtckitError, ConfigError, DataFormatError, NumericalError
 from btckit.linalg import mutual_coherence, one_blas_thread
 
@@ -280,37 +271,47 @@ def _parse_gamma_grid(text: str) -> list[float]:
         raise ConfigError(f"malformed gamma grid {text!r}") from exc
 
 
+def _classifier_params(args: argparse.Namespace) -> BtcParams:
+    """The params of ``--classifier``: BTC's, or KBTC's with the RBF kernel of width ``--gamma``."""
+    if args.classifier == "btc":
+        return BtcParams(m=args.m, alpha=args.alpha)
+    return KbtcParams(m=args.m, alpha=args.alpha, spec=KernelSpec(kind="rbf", gamma=args.gamma))
+
+
 def _cmd_classify(args: argparse.Namespace) -> None:
     train, train_labels = load_dense_dataset(args.train, args.train_labels)
     test, test_labels = load_dense_dataset(args.test, args.test_labels)
     start = time.perf_counter()
 
-    norm_mode = NORM_L2 if args.classifier == "btc" else NORM_RANGE
-    dictionary = build_dictionary(train, train_labels, norm_mode=norm_mode)
+    params = _classifier_params(args)
+    dictionary = build_dictionary(train, train_labels, norm_mode=params.norm_mode)
     del train  # the dictionary holds its own copy
-    if args.classifier == "btc":
-        residuals = btc_residuals(dictionary, test, BtcParams(m=args.m, alpha=args.alpha))
-    else:
-        spec = KernelSpec(kind="rbf", gamma=args.gamma)
-        residuals = kbtc_residuals(dictionary, test, KbtcParams(m=args.m, alpha=args.alpha, spec=spec))
-
-    original = np.asarray(dictionary.original_labels)[np.argmin(residuals, axis=1)]
-    _write_predictions(args, original, test_labels, time.perf_counter() - start)
+    decided = np.argmin(residuals(dictionary, test, params), axis=1)
+    predictions = np.asarray(dictionary.original_labels)[decided]
+    _write_predictions(args, predictions, test_labels, time.perf_counter() - start)
 
 
 def _write_predictions(
     args: argparse.Namespace, predictions: np.ndarray, test_labels: np.ndarray, elapsed: float
 ) -> None:
     _write_lines(args, "predictions.csv", predictions)
+    _write_report(args, predictions, test_labels, elapsed)
+
+
+def _write_report(
+    args: argparse.Namespace, predictions: np.ndarray, test_labels: np.ndarray, elapsed: float, name: str = ""
+) -> None:
+    """Score the predictions: report[_name].txt and .json, and their scores on stdout after "name: "."""
     report = evaluate(predictions, test_labels, elapsed_s=elapsed, config=_resolved_config(args))
-    _write_artifact(args, "report.txt", report.to_text())
-    _write_artifact(args, "report.json", report.to_json())
-    print(f"OA={report.oa:.4f} AA={report.aa:.4f} kappa={report.kappa:.4f}")
+    suffix, prefix = (f"_{name}", f"{name}: ") if name else ("", "")
+    _write_artifact(args, f"report{suffix}.txt", report.to_text())
+    _write_artifact(args, f"report{suffix}.json", report.to_json())
+    print(f"{prefix}OA={report.oa:.4f} AA={report.aa:.4f} kappa={report.kappa:.4f}")
 
 
 def _cmd_estimate_btc(args: argparse.Namespace) -> None:
     train, labels = load_dense_dataset(args.train, args.train_labels)
-    dictionary = build_dictionary(train, labels, norm_mode=NORM_L2)
+    dictionary = build_dictionary(train, labels, norm_mode=BtcParams.norm_mode)
     m_max = args.m_max if args.m_max else dictionary.n_features - 1
     m_hat, profile = btc_estimate_threshold(
         dictionary, args.alpha, range(args.m_min, m_max + 1)
@@ -321,7 +322,7 @@ def _cmd_estimate_btc(args: argparse.Namespace) -> None:
 
 def _cmd_estimate_kbtc(args: argparse.Namespace) -> None:
     train, labels = load_dense_dataset(args.train, args.train_labels)
-    dictionary = build_dictionary(train, labels, norm_mode=NORM_RANGE)
+    dictionary = build_dictionary(train, labels, norm_mode=KbtcParams.norm_mode)
     grid = _parse_gamma_grid(args.gamma_grid)
     gamma_hat, m_hat, gamma_profile, m_profile = kbtc_estimate_params(dictionary, args.alpha, grid)
     rows = (f"{g:.10g},{b:.10f}" for g, b in gamma_profile)
@@ -337,14 +338,8 @@ def _cmd_classify_hsi(args: argparse.Namespace) -> None:
     train, train_labels, test_labels, test_rc = split_by_mask(cube, gt, mask)
     start = time.perf_counter()
 
-    if args.classifier == "btc":
-        dictionary = build_dictionary(train, train_labels, norm_mode=NORM_L2)
-        params = BtcParams(m=args.m, alpha=args.alpha)
-    else:
-        dictionary = build_dictionary(train, train_labels, norm_mode=NORM_RANGE)
-        params = KbtcParams(
-            m=args.m, alpha=args.alpha, spec=KernelSpec(kind="rbf", gamma=args.gamma)
-        )
+    params = _classifier_params(args)
+    dictionary = build_dictionary(train, train_labels, norm_mode=params.norm_mode)
     del train  # the dictionary holds its own copy
 
     wls = WlsParams(lam=args.wls_lambda, alpha_wls=args.wls_alpha)
@@ -370,15 +365,7 @@ def _cmd_classify_hsi(args: argparse.Namespace) -> None:
     # scored on the test pixels only: labeled and outside the training mask
     rows, cols = test_rc.T
     for name, label_map in (("pixelwise", pixelwise), ("smoothed", final)):
-        report = evaluate(
-            label_map[rows, cols],
-            test_labels,
-            elapsed_s=elapsed,
-            config=_resolved_config(args),
-        )
-        _write_artifact(args, f"report_{name}.txt", report.to_text())
-        _write_artifact(args, f"report_{name}.json", report.to_json())
-        print(f"{name}: OA={report.oa:.4f} AA={report.aa:.4f} kappa={report.kappa:.4f}")
+        _write_report(args, label_map[rows, cols], test_labels, elapsed, name)
 
 
 def _cmd_ensemble(args: argparse.Namespace) -> None:
@@ -433,7 +420,7 @@ def _cmd_synth_recovery(args: argparse.Namespace) -> None:
 
 def _cmd_coherence(args: argparse.Namespace) -> None:
     train, labels = load_dense_dataset(args.train, args.train_labels)
-    dictionary = build_dictionary(train, labels, norm_mode=NORM_L2)
+    dictionary = build_dictionary(train, labels, norm_mode=BtcParams.norm_mode)
     print(f"mu={mutual_coherence(dictionary):.10f}")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from btckit.btc import BtcParams, ResidualVector, btc_residuals
-from btckit.data import NORM_L2, build_dictionary
+from btckit.data import build_dictionary
 from btckit.errors import ConfigError
 
 
@@ -58,7 +58,7 @@ def ensemble_residuals(
     fused = None
     for i in range(1, n_classifiers + 1):
         proj = make_sparse_projection(b, m_dim, s, seed + i)
-        dictionary = build_dictionary(raw_samples @ proj.T, labels, norm_mode=NORM_L2)
+        dictionary = build_dictionary(raw_samples @ proj.T, labels, norm_mode=BtcParams.norm_mode)
         residuals = btc_residuals(dictionary, (proj @ Y_raw.T).T, params)
         fused = residuals if fused is None else fused + residuals
     return fused / n_classifiers

@@ -11,11 +11,12 @@ ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from btckit.btc import BtcParams, ResidualVector, SparseCode, threshold_argmin
-from btckit.data import Dictionary
+from btckit.btc import BtcParams, ResidualVector, SparseCode, btc_residuals, threshold_argmin
+from btckit.data import NORM_RANGE, Dictionary
 from btckit.errors import ConfigError, DataFormatError
 from btckit.linalg import (
     KERNEL_RBF,
@@ -42,6 +43,7 @@ class KernelCache:
 class KbtcParams(BtcParams):
     """Threshold M, regularization alpha, and kernel choice."""
 
+    norm_mode: ClassVar[str] = NORM_RANGE
     spec: KernelSpec
 
 
@@ -68,6 +70,19 @@ def kbtc_residuals(dictionary: Dictionary, Y: np.ndarray, params: KbtcParams) ->
         return *_kernel_rows(dictionary, rows, params.spec, sq), None
 
     return batch_residuals(dictionary, Y, params.m, params.alpha, params.spec, prepare)
+
+
+def residuals(dictionary: Dictionary, Y: np.ndarray, params: BtcParams) -> np.ndarray:
+    """Per-class residuals (S x C) of every row of Y, by the classifier ``params`` names.
+
+    :func:`kbtc_residuals` for :class:`KbtcParams`, whatever its kernel, and
+    :func:`btc_residuals` for plain :class:`BtcParams`. Each params type's
+    ``norm_mode`` is the normalization to build its dictionary with.
+    """
+    # KbtcParams subclasses BtcParams, so it is the one to test for
+    if isinstance(params, KbtcParams):
+        return kbtc_residuals(dictionary, Y, params)
+    return btc_residuals(dictionary, Y, params)
 
 
 def kbtc_classify(

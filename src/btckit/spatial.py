@@ -16,10 +16,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 # btc_classify stays bound here: the benchmark's tracer test looks it up in this module
-from btckit.btc import BtcParams, btc_classify, btc_residuals  # noqa: F401
+from btckit.btc import BtcParams, btc_classify  # noqa: F401
 from btckit.data import Dictionary
 from btckit.errors import BtckitError, ConfigError, NumericalError
-from btckit.kbtc import KbtcParams, kbtc_residuals
+from btckit.kbtc import KbtcParams, residuals
 from btckit.linalg import beside, min_max, one_blas_thread, pca_first_component
 
 # SciPy is imported by the smoothing that uses it, so the commands and the
@@ -55,8 +55,8 @@ def build_residual_cube(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classify every pixel of an H x W x B cube; stack the residuals into an H x W x C cube.
 
-    BTC is used for :class:`BtcParams`, KBTC for :class:`KbtcParams`; the
-    whole cube goes through one batch call, which widens the pixels to
+    The params pick BTC or KBTC (:func:`residuals`); the whole cube goes
+    through one batch call, which widens the pixels to
     float64 one chunk at a time. The whole cube is min-max normalized to
     [0, 1] with one scale, so residuals stay comparable across layers. Also
     returns the pixel-wise (H, W) class map of dense ids 1..C (the
@@ -67,10 +67,7 @@ def build_residual_cube(
     h, w, bands = cube.shape
     pixels = cube.reshape(h * w, bands)
     try:
-        if isinstance(params, KbtcParams):
-            flat = kbtc_residuals(dictionary, pixels, params)
-        else:
-            flat = btc_residuals(dictionary, pixels, params)
+        flat = residuals(dictionary, pixels, params)
     except BtckitError as exc:
         if exc.sample is None:
             raise
@@ -78,8 +75,7 @@ def build_residual_cube(
         raise type(exc)(f"pixel ({r},{c}): {exc.args[0]}") from exc
     # np.argmin returns the first minimum: lowest class id on ties
     classmap = np.argmin(flat, axis=1).reshape(h, w) + 1
-    residuals = min_max(flat.reshape(h, w, dictionary.n_classes))
-    return residuals, classmap
+    return min_max(flat.reshape(h, w, dictionary.n_classes)), classmap
 
 
 def mask_by_classmap(residuals: np.ndarray, classmap: np.ndarray) -> np.ndarray:
@@ -112,9 +108,10 @@ def wls_smooth(
 
     ``image`` is H x W or an H x W x C stack of layers. L_g is the 4-neighbor
     graph Laplacian with weights (|grad g|^alpha_wls + WLS_EPS)^-1 on
-    guidance gradients, Neumann boundaries. The system is factored once by
-    sparse LU and every layer is solved exactly against that factor, with
-    every bundled OpenBLAS held at one thread (:func:`one_blas_thread`).
+    guidance gradients, Neumann boundaries. The system (:func:`_wls_system`)
+    is factored once by sparse LU and every layer is solved exactly against
+    that factor, with every bundled OpenBLAS held at one thread
+    (:func:`one_blas_thread`).
     """
     image = np.asarray(image, dtype=np.float64)
     guidance = np.asarray(guidance, dtype=np.float64)
@@ -124,20 +121,16 @@ def wls_smooth(
         raise ConfigError("guidance image has non-finite values")
     if params.lam == 0:
         return image.copy()
-    import scipy.sparse
     import scipy.sparse.linalg
 
-    h, w = guidance.shape
-    system = scipy.sparse.identity(h * w, format="csr") + params.lam * _guidance_laplacian(
-        guidance, params
-    )
-    rhs = image.reshape(h * w, -1)
+    system = _wls_system(guidance, params)
+    rhs = image.reshape(system.shape[0], -1)
     # SciPy's own OpenBLAS, loaded by that import, runs SuperLU's BLAS on one
     # thread: its idle threads would spin on after the solve
     with one_blas_thread():
         try:
             # the system is symmetric: a symmetric fill-reducing ordering halves the LU fill
-            factor = scipy.sparse.linalg.splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            factor = scipy.sparse.linalg.splu(system, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # lambda * weights so large the identity term is lost
             raise NumericalError(f"WLS system is singular: {exc}") from None
         out = factor.solve(rhs)
@@ -154,32 +147,29 @@ def wls_smooth(
     return out.reshape(image.shape)
 
 
-def _guidance_laplacian(guidance: np.ndarray, params: WlsParams) -> scipy.sparse.csr_matrix:
+def _wls_system(guidance: np.ndarray, params: WlsParams) -> scipy.sparse.csc_matrix:
+    """I + lambda (D - W) as CSC, built from its five diagonals (offsets 0, +-1, +-W).
+
+    W holds the edge weights between 4-neighbours and D their sums per node,
+    added right, left, down, up. A neighbour outside the image, or an
+    off-diagonal entry that underflows, is weight 0 and is not stored. The
+    matrix is symmetric, so each column lists its rows up, left, self,
+    right, down, in ascending order.
+    """
     import scipy.sparse
 
     h, w = guidance.shape
-    idx = np.arange(h * w).reshape(h, w)
-
-    rows, cols, vals = [], [], []
-
-    def add_edges(a_idx, b_idx, grad):
-        weight = 1.0 / (np.abs(grad) ** params.alpha_wls + WLS_EPS)
-        a = a_idx.ravel()
-        b = b_idx.ravel()
-        wgt = weight.ravel()
-        rows.extend([a, b, a, b])
-        cols.extend([b, a, a, b])
-        vals.extend([-wgt, -wgt, wgt, wgt])
-
-    if w > 1:
-        add_edges(idx[:, :-1], idx[:, 1:], guidance[:, 1:] - guidance[:, :-1])
-    if h > 1:
-        add_edges(idx[:-1, :], idx[1:, :], guidance[1:, :] - guidance[:-1, :])
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(h * w, h * w))
+    right, left, down, up = np.zeros((4, h, w))
+    right[:, :-1] = 1.0 / (np.abs(np.diff(guidance, axis=1)) ** params.alpha_wls + WLS_EPS)
+    down[:-1, :] = 1.0 / (np.abs(np.diff(guidance, axis=0)) ** params.alpha_wls + WLS_EPS)
+    left[:, 1:], up[1:, :] = right[:, :-1], down[:-1, :]
+    lam = params.lam
+    diagonals = (-lam * up, -lam * left, 1.0 + lam * (right + left + down + up), -lam * right, -lam * down)
+    data = np.stack(diagonals, axis=-1).reshape(h * w, 5)
+    rows = np.arange(h * w)[:, None] + np.array([-w, -1, 0, 1, w])
+    keep = data != 0
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    return scipy.sparse.csc_matrix((data[keep], rows[keep], indptr), shape=(h * w, h * w))
 
 
 def decide_from_cube(residuals: np.ndarray) -> np.ndarray:

@@ -38,10 +38,10 @@ from btckit import (
     wls_smooth,
 )
 from btckit.data import NORM_L2, NORM_RANGE
-from btckit.spatial import _guidance_laplacian
 from tests.conftest import make_blobs, make_blocky_scene, make_rings, make_train_mask
 from tests.test_btc import oracle_classify
 from tests.test_kbtc import oracle_kbtc
+from tests.test_spatial import oracle_wls_system
 
 
 def _report(num, ok, detail):
@@ -273,8 +273,7 @@ def test_criterion_9_wls_correctness():
         img = rng.normal(size=(16, 16))
         guidance = rng.uniform(0, 1, (16, 16))
         out = wls_smooth(img, guidance, params)
-        L = _guidance_laplacian(guidance, params).toarray()
-        dense = np.linalg.solve(np.eye(256) + params.lam * L, img.ravel())
+        dense = np.linalg.solve(oracle_wls_system(guidance, params), img.ravel())
         worst = max(worst, float(np.abs(out.ravel() - dense).max()))
 
     img = rng.normal(size=(8, 8))

@@ -1,5 +1,6 @@
 """The batched Gram-space core: selection, solves, class residuals, beta profiles."""
 
+import dataclasses
 import tracemalloc
 from contextlib import nullcontext
 from unittest.mock import patch
@@ -26,10 +27,11 @@ from btckit import (
     kbtc_estimate_params,
     kbtc_residuals,
     kernel_cache,
+    residuals,
     top_m_select,
 )
 from btckit import linalg
-from btckit.linalg import beta_profile, gram_residuals, top_m_rows
+from btckit.linalg import KERNEL_LINEAR, beta_profile, gram_residuals, top_m_rows
 from btckit.data import NORM_L2, NORM_RANGE
 from btckit.errors import ConfigError, NumericalError
 from tests.conftest import make_train_mask
@@ -61,6 +63,30 @@ def _stable_top(scores, m):
 def _tiny_chunks():
     """Chunks of one or two samples, so batches cross many chunk boundaries."""
     return patch.object(linalg, "CHUNK_BYTES", 1)
+
+
+class TestResidualsDispatch:
+    def test_params_pick_the_classifier_bit_for_bit(self):
+        rng, d, m = _problem(3, 8, 5, 3, 4)
+        _, dr, _ = _problem(3, 8, 5, 3, 4, norm_mode=NORM_RANGE)
+        Y = rng.normal(size=(7, 8))
+        btc = BtcParams(m=m, alpha=0.01)
+        np.testing.assert_array_equal(residuals(d, Y, btc), btc_residuals(d, Y, btc))
+        for spec in (KernelSpec(gamma=0.5), KernelSpec(kind=KERNEL_LINEAR)):
+            kbtc = KbtcParams(m=m, alpha=0.01, spec=spec)
+            np.testing.assert_array_equal(residuals(dr, Y, kbtc), kbtc_residuals(dr, Y, kbtc))
+        # a linear KbtcParams is KBTC's even on an L2 dictionary, where BTC would
+        # also accept it but normalize the rows first
+        linear = KbtcParams(m=m, alpha=0.01, spec=KernelSpec(kind=KERNEL_LINEAR))
+        got = residuals(d, Y, linear)
+        np.testing.assert_array_equal(got, kbtc_residuals(d, Y, linear))
+        assert not np.allclose(got, btc_residuals(d, Y, linear))
+
+    def test_norm_mode_is_a_class_constant_not_a_field(self):
+        assert (BtcParams.norm_mode, KbtcParams.norm_mode) == (NORM_L2, NORM_RANGE)
+        assert [f.name for f in dataclasses.fields(BtcParams)] == ["m", "alpha"]
+        assert [f.name for f in dataclasses.fields(KbtcParams)] == ["m", "alpha", "spec"]
+        assert BtcParams(m=2, alpha=0.1).norm_mode == NORM_L2
 
 
 class TestBatchEqualsSingle:

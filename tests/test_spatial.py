@@ -1,5 +1,7 @@
 """Residual cubes, masking, smoothing, and the spatial-spectral pipeline."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -20,8 +22,41 @@ from btckit import (
     wls_smooth,
 )
 from btckit.errors import ConfigError, NumericalError
-from btckit.spatial import _guidance_laplacian
+from btckit.spatial import WLS_EPS, _wls_system
 from tests.conftest import make_blocky_scene, make_train_mask
+
+
+def oracle_wls_system(guidance, params):
+    """Dense I + lambda L_g, built one pixel and its right and lower neighbours at a time."""
+    h, w = guidance.shape
+    system = np.eye(h * w)
+    for r in range(h):
+        for c in range(w):
+            for rn, cn in ((r, c + 1), (r + 1, c)):
+                if rn < h and cn < w:
+                    i, j = r * w + c, rn * w + cn
+                    weight = 1.0 / (abs(guidance[rn, cn] - guidance[r, c]) ** params.alpha_wls + WLS_EPS)
+                    system[[i, j], [i, j]] += params.lam * weight
+                    system[[i, j], [j, i]] -= params.lam * weight
+    return system
+
+
+def _coo_wls_system(guidance, params):
+    """I + lambda L_g in CSC, its Laplacian summed by SciPy from a COO triplet list per edge."""
+    h, w = guidance.shape
+    idx = np.arange(h * w).reshape(h, w)
+    rows, cols, vals = [], [], []
+    for a, b, grad in ((idx[:, :-1], idx[:, 1:], np.diff(guidance, axis=1)),
+                       (idx[:-1, :], idx[1:, :], np.diff(guidance, axis=0))):
+        weight = (1.0 / (np.abs(grad) ** params.alpha_wls + WLS_EPS)).ravel()
+        a, b = a.ravel(), b.ravel()
+        rows.extend([a, b, a, b])
+        cols.extend([b, a, a, b])
+        vals.extend([-weight, -weight, weight, weight])
+    laplacian = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(h * w, h * w)
+    )
+    return (scipy.sparse.identity(h * w, format="csr") + params.lam * laplacian).tocsc()
 
 
 def _two_class_setup(seed=50, h=10, w=10, bands=6):
@@ -163,8 +198,7 @@ class TestWlsSmooth:
         guidance[:, 8:] = 1.0
         params = WlsParams(lam=0.4, alpha_wls=0.9)
         out = wls_smooth(img, guidance, params)
-        L = _guidance_laplacian(guidance, params).toarray()
-        dense = np.linalg.solve(np.eye(256) + 0.4 * L, img.ravel()).reshape(16, 16)
+        dense = np.linalg.solve(oracle_wls_system(guidance, params), img.ravel()).reshape(16, 16)
         np.testing.assert_allclose(out, dense, atol=1e-10)
 
     def test_step_edge_smoothing_preserves_contrast(self, rng):
@@ -217,13 +251,25 @@ class TestWlsSmooth:
             wls_smooth(rng.uniform(0, 1, (8, 8)), rng.uniform(0, 1, (8, 8)), WlsParams(lam=1e12))
 
     def test_default_lambda_output_is_the_plain_solve(self, rng):
+        # at the smallest lambda, an off-diagonal entry of weight below 1/2 underflows to 0,
+        # and neither form stores it
+        for shape, lam in itertools.product(((1, 7), (9, 1), (10, 12), (61, 34)), (0.4, 5e-324)):
+            guidance = rng.uniform(0, 10, shape)
+            got, ref = _wls_system(guidance, WlsParams(lam=lam)), _coo_wls_system(guidance, WlsParams(lam=lam))
+            assert got.format == "csc"
+            for attr in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, attr), getattr(ref, attr), err_msg=f"{attr} {shape}")
+        params = WlsParams()
         stack = rng.uniform(0, 1, (10, 12, 3))
         guidance = rng.uniform(0, 1, (10, 12))
-        params = WlsParams()
-        system = scipy.sparse.identity(120, format="csr") + params.lam * _guidance_laplacian(guidance, params)
-        factor = scipy.sparse.linalg.splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        factor = scipy.sparse.linalg.splu(_coo_wls_system(guidance, params), permc_spec="MMD_AT_PLUS_A")
         plain = factor.solve(stack.reshape(120, 3)).reshape(stack.shape)
         np.testing.assert_array_equal(wls_smooth(stack, guidance, params), plain)
+
+    def test_one_pixel_image_is_its_own_solution(self):
+        # a pixel without neighbours has an empty Laplacian: the system is I
+        stack = np.array([[[0.3, -2.0]]])
+        np.testing.assert_array_equal(wls_smooth(stack, np.ones((1, 1)), WlsParams()), stack)
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ConfigError):

@@ -431,15 +431,17 @@ class TestBlasPin:
 
     def test_import_looks_up_no_library(self):
         # NumPy imports ctypes itself, so the library lookup is what an import must not run:
-        # no cached NumPy answer, no search for any OpenBLAS file, and no SciPy to look in
+        # no cached NumPy answer, no search for any OpenBLAS file, and no SciPy to look in;
+        # the thread pool's and the cube reader's modules load when first used
         code = (
             "import glob, sys\n"
             "seen, real = [], glob.glob\n"
             "glob.glob = lambda pattern, *a, **k: seen.append(pattern) or real(pattern, *a, **k)\n"
             "import btckit.cli, btckit.linalg as l\n"
-            "print(l._openblas.cache_info().currsize, sum('openblas' in p for p in seen), 'scipy' in sys.modules)\n"
+            "print(l._openblas.cache_info().currsize, sum('openblas' in p for p in seen),\n"
+            "      *(name in sys.modules for name in ('scipy', 'concurrent.futures', 'mmap')))\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(btckit.__file__)))
         out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True, timeout=60, check=True)
-        assert out.stdout.split() == ["0", "0", "False"]
+        assert out.stdout.split() == ["0", "0", "False", "False", "False"]
